@@ -4,6 +4,7 @@
 //! columns first) from the access-path layer, probed with zero per-tuple
 //! key allocation.
 
+use crate::par::Fragment;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
@@ -60,7 +61,7 @@ pub(crate) fn execute(
         // blocks of accumulator rows (fragments merge in block order, then
         // the same sort_dedup as the sequential path).
         let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
-            let mut part = Relation::new(out_vars.clone());
+            let mut part = Fragment::default();
             let mut buf: Vec<Value> = Vec::new();
             for row in rows.map(|ri| acc.row(ri)) {
                 stats.probes += 1;
@@ -73,20 +74,13 @@ pub(crate) fn execute(
                     buf.clear();
                     buf.extend_from_slice(row);
                     buf.extend_from_slice(&ext[shared.len()..]);
-                    part.push_row(&buf);
+                    part.push(&buf);
                     stats.intermediate_tuples += 1;
                 }
             }
             part
         });
-        let mut next = Relation::new(out_vars);
-        for part in &parts {
-            for row in part.rows() {
-                next.push_row(row);
-            }
-        }
-        next.sort_dedup();
-        acc = next;
+        acc = crate::par::merge(out_vars, parts);
     }
 
     // Expand to all variables and verify FDs / UDF predicates, fanned out
@@ -94,31 +88,22 @@ pub(crate) fn execute(
     let nv = q.n_vars();
     let target = VarSet::full(nv as u32);
     let all: Vec<u32> = (0..nv as u32).collect();
+    let plan = ex.plan(acc.var_set(), target, true);
     let parts = crate::par::for_blocks(par, acc.len(), None, &mut stats, |rows, stats| {
-        let mut part = Relation::new(all.clone());
+        let mut part = Fragment::default();
         let mut vals = vec![0 as Value; nv];
         for row in rows.map(|ri| acc.row(ri)) {
             for (&v, &x) in acc.vars().iter().zip(row) {
                 vals[v as usize] = x;
             }
-            let mut bound = acc.var_set();
-            if ex.expand_tuple(&mut bound, &mut vals, target, stats)
-                && ex.verify_fds(bound, &vals, stats)
-            {
-                part.push_row(&vals);
+            if ex.run(&plan, &mut vals, stats) {
+                part.push(&vals);
                 stats.output_tuples += 1;
             }
         }
         part
     });
-    let mut out = Relation::new(all);
-    for part in &parts {
-        for row in part.rows() {
-            out.push_row(row);
-        }
-    }
-    out.sort_dedup();
-    Ok((out, stats))
+    Ok((crate::par::merge(all, parts), stats))
 }
 
 #[cfg(test)]

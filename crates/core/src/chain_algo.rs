@@ -11,6 +11,8 @@
 //! Planning (chain search) lives in the [`crate::engine`]; this module is
 //! the execution kernel, entered with a pre-computed [`ChainBound`].
 
+use crate::expand::ExpandPlan;
+use crate::par::Fragment;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::chain::ChainBound;
@@ -101,7 +103,13 @@ pub(crate) fn execute(
     let nv = q.n_vars();
     let mut q_prev = Relation::nullary_unit();
     for i in 1..=k {
-        let out_vars = col_order(level_sets[i]);
+        // The last level is written in ascending variable order, which is
+        // the output order: its `sort_dedup` already yields the answer.
+        let out_vars = if i == k {
+            level_sets[k].iter().collect()
+        } else {
+            col_order(level_sets[i])
+        };
         let target = level_sets[i];
         let covering: Vec<usize> = (0..q.atoms().len())
             .filter(|&j| proj[i][j].is_some())
@@ -112,7 +120,10 @@ pub(crate) fn execute(
         );
 
         // Precompute, per covering atom, the positions in q_prev of its
-        // shared prefix variables.
+        // shared prefix variables, and the compiled expansion of a
+        // candidate over C_{i-1} ∪ (R_j ∧ C_i) to the closure C_i
+        // (goodness Eq. 11 guarantees the union closes to C_i), verifying
+        // the FDs within.
         let prev_positions: Vec<Vec<usize>> = covering
             .iter()
             .map(|&j| {
@@ -123,6 +134,14 @@ pub(crate) fn execute(
                     .collect()
             })
             .collect();
+        let plans: Vec<ExpandPlan> = covering
+            .iter()
+            .map(|&j| {
+                let (p, _) = proj[i][j].as_ref().unwrap();
+                let bound = VarSet::from_vars(p.vars().iter().copied());
+                ex.plan(level_sets[i - 1].union(bound), target, true)
+            })
+            .collect();
 
         // Per-row work is independent (shared tries are read-only), so the
         // level fans out over contiguous blocks of Q_{i-1} rows through
@@ -131,7 +150,7 @@ pub(crate) fn execute(
         // sequential path runs, so output and counters are identical at
         // any parallelism.
         let parts = crate::par::for_blocks(par, q_prev.len(), None, &mut stats, |rows, stats| {
-            let mut part = Relation::new(out_vars.clone());
+            let mut part = Fragment::default();
             let mut vals = vec![0 as Value; nv];
             let mut buf = vec![0 as Value; out_vars.len()];
             for t in rows.map(|ti| q_prev.row(ti)) {
@@ -166,27 +185,15 @@ pub(crate) fn execute(
                     for (&v, &x) in q_prev.vars().iter().zip(t) {
                         vals[v as usize] = x;
                     }
-                    let mut bound_set = level_sets[i - 1];
-                    let mut consistent = true;
+                    let prev = level_sets[i - 1];
                     for (&v, &x) in p_star.vars().iter().zip(ext) {
-                        if bound_set.contains(v) {
-                            if vals[v as usize] != x {
-                                consistent = false;
-                                break;
-                            }
-                        } else {
+                        if !prev.contains(v) {
                             vals[v as usize] = x;
-                            bound_set = bound_set.insert(v);
+                        } else if vals[v as usize] != x {
+                            continue 'ext;
                         }
                     }
-                    if !consistent {
-                        continue;
-                    }
-                    // Expand to the closure C_i (goodness Eq. 11 guarantees
-                    // C_{i-1} ∨ (R_{j*} ∧ C_i) = C_i) and verify FDs within.
-                    if !ex.expand_tuple(&mut bound_set, &mut vals, target, stats)
-                        || !ex.verify_fds(target, &vals, stats)
-                    {
+                    if !ex.run(&plans[ci_star], &mut vals, stats) {
                         continue;
                     }
                     // Verify against every other covering relation: the
@@ -206,28 +213,17 @@ pub(crate) fn execute(
                     for (slot, &v) in buf.iter_mut().zip(&out_vars) {
                         *slot = vals[v as usize];
                     }
-                    part.push_row(&buf);
+                    part.push(&buf);
                     stats.intermediate_tuples += 1;
                 }
             }
             part
         });
-        let mut q_i = Relation::new(out_vars.clone());
-        for part in &parts {
-            for row in part.rows() {
-                q_i.push_row(row);
-            }
-        }
-        q_i.sort_dedup();
-        q_prev = q_i;
+        q_prev = crate::par::merge(out_vars, parts);
     }
 
-    // Final answer: reorder columns to ascending variable id (a one-shot
-    // trie build over the last Q_i, not a cached access path).
-    let all: Vec<u32> = (0..nv as u32).collect();
-    let output = TrieIndex::build(&q_prev, &all).to_relation();
-    stats.output_tuples += output.len() as u64;
-    Ok((output, stats))
+    stats.output_tuples += q_prev.len() as u64;
+    Ok((q_prev, stats))
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 //! CLLP budget governs its *running time*).
 
 use crate::engine::{JoinError, UserDegreeBound};
+use crate::par::Fragment;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::cllp::{solve_cllp, DegreePair};
@@ -333,17 +334,24 @@ fn join_into(
     };
     let target_set = lat.set_of(target).unwrap();
     let out_vars: Vec<u32> = target_set.iter().collect();
-    let mut result = Relation::new(out_vars.clone());
     let key_vars: Vec<u32> = guard.vars()[..prefix_len].to_vec();
     let ta_key_cols: Vec<usize> = key_vars
         .iter()
         .map(|&v| ta.col_of(v).expect("meet variables present in T(A)"))
         .collect();
+    // Every candidate binds T(A)'s and the guard's variables: one compiled
+    // expansion to Λ(target) serves the whole join.
+    let ta_set = ta.var_set();
+    let plan = ctx.ex.plan(
+        ta_set.union(VarSet::from_vars(guard.vars().iter().copied())),
+        target_set,
+        true,
+    );
     // Per-row probe-and-extend work is independent; fan it out over
     // contiguous blocks of T(A) rows (fragments merge in block order, then
     // the same sort_dedup as the sequential path).
     let parts = crate::par::for_blocks(ctx.par, ta.len(), None, stats, |rows, stats| {
-        let mut part = Relation::new(out_vars.clone());
+        let mut part = Fragment::default();
         let mut vals = vec![0 as Value; ctx.nv];
         let mut buf = vec![0 as Value; out_vars.len()];
         for row in rows.map(|ri| ta.row(ri)) {
@@ -357,40 +365,26 @@ fn join_into(
                 for (&v, &x) in ta.vars().iter().zip(row) {
                     vals[v as usize] = x;
                 }
-                let mut bound = ta.var_set();
                 for (&v, &x) in guard.vars().iter().zip(ext) {
-                    if bound.contains(v) {
-                        if vals[v as usize] != x {
-                            continue 'ext;
-                        }
-                    } else {
+                    if !ta_set.contains(v) {
                         vals[v as usize] = x;
-                        bound = bound.insert(v);
+                    } else if vals[v as usize] != x {
+                        continue 'ext;
                     }
                 }
-                if !ctx
-                    .ex
-                    .expand_tuple(&mut bound, &mut vals, target_set, stats)
-                    || !ctx.ex.verify_fds(target_set, &vals, stats)
-                {
+                if !ctx.ex.run(&plan, &mut vals, stats) {
                     continue;
                 }
                 for (slot, &v) in buf.iter_mut().zip(&out_vars) {
                     *slot = vals[v as usize];
                 }
-                part.push_row(&buf);
+                part.push(&buf);
                 stats.intermediate_tuples += 1;
             }
         }
         part
     });
-    for part in &parts {
-        for row in part.rows() {
-            result.push_row(row);
-        }
-    }
-    result.sort_dedup();
-    result
+    crate::par::merge(out_vars, parts)
 }
 
 #[cfg(test)]

@@ -8,15 +8,28 @@
 //! and dropped; tuples whose computed value contradicts an already-bound
 //! attribute are inconsistent and dropped.
 //!
-//! The hot loops here ([`Expander::step`], [`Expander::verify_fds`]) are
-//! allocation-free: guard lookups descend the trie one bound value at a
-//! time straight out of the tuple buffer (no key vector), and UDF argument
-//! lists live in a stack buffer.
+//! Which FD fires next depends only on which variables are bound, never on
+//! their values, so expansion is *compiled per shape*: [`Expander::plan`]
+//! derives, once per `(bound, target)` pair, the straight-line list of
+//! guard lookups, guard checks, UDF calls and UDF checks that the
+//! derivation takes, and [`Expander::run`] replays that list on each tuple
+//! in place. Callers compile their shapes outside their per-tuple loops;
+//! [`Expander::expand_tuple`] and [`Expander::verify_fds`] are
+//! compile-and-run conveniences over the same two calls. When several
+//! registered UDFs could compute a variable, the registry's ordered lookup
+//! ([`fdjoin_storage::UdfRegistry::find_applicable`]) picks the same one
+//! every time, so plans — and the work counters their runs bump — do not
+//! depend on registration order.
+//!
+//! [`Expander::run`] is allocation-free: guard lookups descend the trie one
+//! bound value at a time straight out of the tuple buffer (no key vector),
+//! and UDF argument lists live in a stack buffer.
 
+use crate::par::Fragment;
 use crate::{AccessPaths, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
-use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, Value};
+use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, UdfFn, Value};
 use std::sync::Arc;
 
 /// Precomputed expansion machinery for a query + database.
@@ -26,6 +39,65 @@ pub struct Expander<'a> {
     /// For each guarded FD: `(lhs, one rhs var, trie index of the guard on
     /// lhs-then-var column order)`.
     guards: Vec<(VarSet, u32, Arc<TrieIndex>)>,
+    /// `(lhs, rhs)` of every unguarded FD, in declaration order.
+    unguarded: Vec<(VarSet, VarSet)>,
+}
+
+/// One step of a compiled [`ExpandPlan`].
+#[derive(Clone)]
+enum Op {
+    /// Bind a guard's variable to the unique extension of its bound `lhs`
+    /// values; no extension means the tuple dangles.
+    GuardAssign(usize),
+    /// Require a guard's already-bound variable to equal that extension.
+    GuardCheck(usize),
+    /// Bind `var` to `f(args)`.
+    UdfAssign { args: VarSet, var: u32, f: UdfFn },
+    /// Require the already-bound `var` to equal `f(args)`.
+    UdfCheck { args: VarSet, var: u32, f: UdfFn },
+    /// No FD extends `bound` toward `target`: reached only by a tuple that
+    /// passed every earlier op.
+    Stuck { bound: VarSet, target: VarSet },
+}
+
+/// The straight-line expansion of one shape — tuples with the variables
+/// `bound` bound, expanded to a `target` — compiled by [`Expander::plan`]
+/// and replayed per tuple by [`Expander::run`]. A plan belongs to the
+/// expander that compiled it.
+#[derive(Clone)]
+pub struct ExpandPlan {
+    ops: Vec<Op>,
+    bound: VarSet,
+}
+
+impl ExpandPlan {
+    /// The variables bound after a successful run: the shape's `bound` plus
+    /// every variable the derivation assigned (a superset of the target).
+    pub fn bound(&self) -> VarSet {
+        self.bound
+    }
+}
+
+impl std::fmt::Debug for ExpandPlan {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut list = f.debug_list();
+        for op in &self.ops {
+            match op {
+                Op::GuardAssign(g) => list.entry(&format_args!("guard-assign #{g}")),
+                Op::GuardCheck(g) => list.entry(&format_args!("guard-check #{g}")),
+                Op::UdfAssign { args, var, .. } => {
+                    list.entry(&format_args!("udf-assign {var} = f{args}"))
+                }
+                Op::UdfCheck { args, var, .. } => {
+                    list.entry(&format_args!("udf-check {var} = f{args}"))
+                }
+                Op::Stuck { bound, target } => {
+                    list.entry(&format_args!("stuck {bound} -> {target}"))
+                }
+            };
+        }
+        list.finish()
+    }
 }
 
 impl<'a> Expander<'a> {
@@ -39,94 +111,129 @@ impl<'a> Expander<'a> {
         stats: &mut Stats,
     ) -> Result<Expander<'a>, MissingRelation> {
         let mut guards = Vec::new();
+        let mut unguarded = Vec::new();
         for fd in query.fds.fds() {
-            if let Some(j) = query.guard_of(fd) {
-                let atom = &query.atoms()[j];
-                let rel = db.relation(&atom.name)?;
-                for v in fd.rhs.minus(fd.lhs).iter() {
-                    let mut cols: Vec<u32> = fd.lhs.iter().collect();
-                    cols.push(v);
-                    guards.push((fd.lhs, v, paths.base(&atom.name, rel, &cols, stats)));
-                }
+            let Some(j) = query.guard_of(fd) else {
+                unguarded.push((fd.lhs, fd.rhs));
+                continue;
+            };
+            let atom = &query.atoms()[j];
+            let rel = db.relation(&atom.name)?;
+            for v in fd.rhs.minus(fd.lhs).iter() {
+                let mut cols: Vec<u32> = fd.lhs.iter().collect();
+                cols.push(v);
+                guards.push((fd.lhs, v, paths.base(&atom.name, rel, &cols, stats)));
             }
         }
-        Ok(Expander { query, db, guards })
+        Ok(Expander {
+            query,
+            db,
+            guards,
+            unguarded,
+        })
     }
 
-    /// Attempt to bind one more variable of `bound`/`vals`; returns
-    /// `Ok(true)` if progress was made, `Ok(false)` if no FD applies, and
-    /// `Err(())` if the tuple is dangling or inconsistent.
-    fn step(
-        &self,
-        bound: &mut VarSet,
-        vals: &mut [Value],
-        target: VarSet,
-        stats: &mut Stats,
-    ) -> Result<bool, ()> {
-        // Guarded FDs first (cheap index lookups).
-        for (lhs, v, ix) in &self.guards {
-            if !lhs.is_subset(*bound) {
-                continue;
-            }
-            let already = bound.contains(*v);
-            if already && !target.contains(*v) {
-                continue;
-            }
-            // Look up the unique extension: descend the guard trie through
-            // the bound lhs values (no key materialization).
-            stats.probes += 1;
-            let mut probe = ix.probe();
-            if !lhs.iter().all(|u| probe.descend(vals[u as usize])) || probe.is_empty() {
-                return Err(()); // dangling
-            }
-            let found = probe.current().expect("guard trie extends past its lhs");
-            if already {
-                if vals[*v as usize] != found {
-                    return Err(()); // violates the FD
-                }
-            } else {
-                vals[*v as usize] = found;
-                *bound = bound.insert(*v);
-                return Ok(true);
-            }
-        }
-        // Unguarded FDs via UDFs.
-        for fd in self.query.fds.fds() {
-            if self.query.guard_of(fd).is_some() || !fd.lhs.is_subset(*bound) {
-                continue;
-            }
-            for v in fd.rhs.iter() {
-                let already = bound.contains(v);
-                if already {
+    /// Compile the expansion of tuples with the variables `bound` bound up
+    /// to `target`, followed (with `verify`) by a check of every FD whose
+    /// variables lie within `target`.
+    ///
+    /// The derivation takes, while `target ⊄ bound`, the first applicable
+    /// step: guarded FDs in order (each guard whose variable is already
+    /// bound and in the target is checked on the way; the first whose
+    /// variable is unbound assigns it), then unguarded FDs via the ordered
+    /// UDF lookup. Every op bumps the same counter a run of it always has:
+    /// one probe per guard lookup, one expansion per UDF call. A shape that
+    /// cannot reach its target ends in an op that panics when a tuple
+    /// reaches it — so an empty input never panics.
+    pub fn plan(&self, bound: VarSet, target: VarSet, verify: bool) -> ExpandPlan {
+        let mut ops = Vec::new();
+        let mut bound = bound;
+        'derive: while !target.is_subset(bound) {
+            // Guarded FDs first (cheap index lookups).
+            for (g, &(lhs, v, _)) in self.guards.iter().enumerate() {
+                if !lhs.is_subset(bound) {
                     continue;
                 }
-                if let Some((args, f)) = self.db.udfs.find_applicable(*bound, v) {
-                    stats.expansions += 1;
-                    vals[v as usize] = call_udf(f, args, vals);
-                    *bound = bound.insert(v);
-                    return Ok(true);
+                if !bound.contains(v) {
+                    ops.push(Op::GuardAssign(g));
+                    bound = bound.insert(v);
+                    continue 'derive;
+                }
+                if target.contains(v) {
+                    ops.push(Op::GuardCheck(g));
+                }
+            }
+            // Unguarded FDs via UDFs.
+            for &(lhs, rhs) in &self.unguarded {
+                if !lhs.is_subset(bound) {
+                    continue;
+                }
+                for v in rhs.minus(bound).iter() {
+                    if let Some((args, f)) = self.db.udfs.find_applicable(bound, v) {
+                        ops.push(Op::UdfAssign {
+                            args,
+                            var: v,
+                            f: Arc::clone(f),
+                        });
+                        bound = bound.insert(v);
+                        continue 'derive;
+                    }
+                }
+            }
+            ops.push(Op::Stuck { bound, target });
+            return ExpandPlan { ops, bound };
+        }
+        if verify {
+            for (g, &(lhs, v, _)) in self.guards.iter().enumerate() {
+                if lhs.is_subset(target) && target.contains(v) {
+                    ops.push(Op::GuardCheck(g));
+                }
+            }
+            for &(lhs, rhs) in &self.unguarded {
+                if !lhs.is_subset(target) {
+                    continue;
+                }
+                for v in rhs.intersect(target).iter() {
+                    if let Some((args, f)) = self.db.udfs.find_applicable(lhs, v) {
+                        ops.push(Op::UdfCheck {
+                            args,
+                            var: v,
+                            f: Arc::clone(f),
+                        });
+                    }
                 }
             }
         }
-        Ok(false)
+        ExpandPlan { ops, bound }
     }
 
-    /// Expand a single tuple given as (bound variable set, values indexed by
-    /// variable id) up to `target ⊆ bound⁺`. Returns `false` if the tuple is
-    /// dangling/inconsistent. Also *verifies* FDs whose variables are all
-    /// bound.
-    pub fn expand_tuple(
-        &self,
-        bound: &mut VarSet,
-        vals: &mut [Value],
-        target: VarSet,
-        stats: &mut Stats,
-    ) -> bool {
-        while !target.is_subset(*bound) {
-            match self.step(bound, vals, target, stats) {
-                Err(()) => return false,
-                Ok(true) => {}
-                Ok(false) => panic!(
+    /// Replay `plan` on one tuple, given as values indexed by variable id
+    /// with (at least) the plan's bound variables filled in. Assigned
+    /// variables are written into `vals` in place. Returns `false` as soon
+    /// as the tuple turns out dangling or inconsistent.
+    pub fn run(&self, plan: &ExpandPlan, vals: &mut [Value], stats: &mut Stats) -> bool {
+        for op in &plan.ops {
+            match op {
+                Op::GuardAssign(g) => match self.lookup(*g, vals, stats) {
+                    Some(found) => vals[self.guards[*g].1 as usize] = found,
+                    None => return false, // dangling
+                },
+                Op::GuardCheck(g) => {
+                    if self.lookup(*g, vals, stats) != Some(vals[self.guards[*g].1 as usize]) {
+                        return false; // dangling, or violates the FD
+                    }
+                }
+                Op::UdfAssign { args, var, f } => {
+                    stats.expansions += 1;
+                    vals[*var as usize] = call_udf(f, *args, vals);
+                }
+                Op::UdfCheck { args, var, f } => {
+                    stats.expansions += 1;
+                    if call_udf(f, *args, vals) != vals[*var as usize] {
+                        return false;
+                    }
+                }
+                Op::Stuck { bound, target } => panic!(
                     "cannot expand tuple from {bound} to {target}: an FD on the \
                      derivation path has neither a guard relation nor a registered \
                      UDF — register UDFs for all unguarded FDs"
@@ -136,38 +243,45 @@ impl<'a> Expander<'a> {
         true
     }
 
+    /// Guard `g`'s unique extension of the bound lhs values: descend the
+    /// guard trie through them straight out of `vals` (one probe, no key
+    /// materialization).
+    #[inline]
+    fn lookup(&self, g: usize, vals: &[Value], stats: &mut Stats) -> Option<Value> {
+        let (lhs, _, ix) = &self.guards[g];
+        stats.probes += 1;
+        let mut probe = ix.probe();
+        if lhs.iter().all(|u| probe.descend(vals[u as usize])) {
+            probe.current()
+        } else {
+            None
+        }
+    }
+
+    /// Expand a single tuple given as (bound variable set, values indexed by
+    /// variable id) up to `target ⊆ bound⁺`. Returns `false` if the tuple is
+    /// dangling/inconsistent. Compiles a one-off plan: per-tuple loops
+    /// should compile with [`Expander::plan`] once and call
+    /// [`Expander::run`].
+    pub fn expand_tuple(
+        &self,
+        bound: &mut VarSet,
+        vals: &mut [Value],
+        target: VarSet,
+        stats: &mut Stats,
+    ) -> bool {
+        let plan = self.plan(*bound, target, false);
+        *bound = plan.bound();
+        self.run(&plan, vals, stats)
+    }
+
     /// Verify every FD whose variables are within `bound` (guarded lookups
-    /// must match; UDFs must reproduce the bound value). Used as the final
-    /// soundness filter.
+    /// must match; UDFs must reproduce the bound value). Compiles a one-off
+    /// plan, like [`Expander::expand_tuple`].
     pub fn verify_fds(&self, bound: VarSet, vals: &[Value], stats: &mut Stats) -> bool {
-        for (lhs, v, ix) in &self.guards {
-            if lhs.is_subset(bound) && bound.contains(*v) {
-                stats.probes += 1;
-                let mut probe = ix.probe();
-                if !lhs.iter().all(|u| probe.descend(vals[u as usize]))
-                    || probe.current() != Some(vals[*v as usize])
-                {
-                    return false;
-                }
-            }
-        }
-        for fd in self.query.fds.fds() {
-            if self.query.guard_of(fd).is_some() || !fd.lhs.is_subset(bound) {
-                continue;
-            }
-            for v in fd.rhs.iter() {
-                if !bound.contains(v) {
-                    continue;
-                }
-                if let Some((args, f)) = self.db.udfs.find_applicable(fd.lhs, v) {
-                    stats.expansions += 1;
-                    if call_udf(f, args, vals) != vals[v as usize] {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let plan = self.plan(bound, bound, true);
+        // A verify-only plan assigns nothing, so it reads `vals` only.
+        self.run(&plan, &mut vals.to_vec(), stats)
     }
 
     /// Expand a whole relation to the closure of its variable set
@@ -176,27 +290,25 @@ impl<'a> Expander<'a> {
     pub fn expand_relation(&self, rel: &Relation, stats: &mut Stats) -> Relation {
         let src_vars = rel.var_set();
         let target = self.query.closure(src_vars);
+        let plan = self.plan(src_vars, target, false);
         let mut out_vars: Vec<u32> = rel.vars().to_vec();
         out_vars.extend(target.minus(src_vars).iter());
-        let mut out = Relation::new(out_vars.clone());
-        let nv = self.query.n_vars();
-        let mut vals = vec![0 as Value; nv];
+        let mut vals = vec![0 as Value; self.query.n_vars()];
         let mut buf = vec![0 as Value; out_vars.len()];
+        let mut out = Fragment::default();
         for row in rel.rows() {
             for (&v, &x) in rel.vars().iter().zip(row) {
                 vals[v as usize] = x;
             }
-            let mut bound = src_vars;
-            if self.expand_tuple(&mut bound, &mut vals, target, stats) {
+            if self.run(&plan, &mut vals, stats) {
                 for (slot, &v) in buf.iter_mut().zip(&out_vars) {
                     *slot = vals[v as usize];
                 }
-                out.push_row(&buf);
+                out.push(&buf);
                 stats.intermediate_tuples += 1;
             }
         }
-        out.sort_dedup();
-        out
+        crate::par::merge(out_vars, vec![out])
     }
 }
 
@@ -204,7 +316,7 @@ impl<'a> Expander<'a> {
 /// variable ids are bounded by `VarSet`'s 64-bit width, so no heap
 /// allocation is ever needed per application.
 #[inline]
-fn call_udf(f: &fdjoin_storage::UdfFn, args: VarSet, vals: &[Value]) -> Value {
+fn call_udf(f: &UdfFn, args: VarSet, vals: &[Value]) -> Value {
     let mut argbuf = [0 as Value; 64];
     let mut n = 0usize;
     for u in args.iter() {

@@ -18,6 +18,8 @@
 //! by the bound prefix, instead of intersecting. This helps constant
 //! factors but provably not the worst-case exponent on the E1 instance.
 
+use crate::expand::ExpandPlan;
+use crate::par::Fragment;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
@@ -104,13 +106,22 @@ pub(crate) fn execute(
     let mut levels: Vec<Vec<Probe<'_>>> = (0..=search_order.len())
         .map(|_| atoms.iter().map(|a| a.idx.probe()).collect())
         .collect();
+    // Compiled expansions: the bound set at depth d is always
+    // search_order[..d], so each depth's FD binding (footnote 1) and the
+    // leaf's expand-and-verify are one plan each.
+    let mut prefix = VarSet::EMPTY;
+    let mut bind = Vec::with_capacity(search_order.len());
+    for &v in &search_order {
+        let determined = opts.bind_fds && q.closure(prefix).contains(v);
+        bind.push(determined.then(|| ex.plan(prefix, prefix.insert(v), false)));
+        prefix = prefix.insert(v);
+    }
     let ctx = SearchCtx {
-        q,
         ex: &ex,
         order: &search_order,
         at_depth: &at_depth,
-        target,
-        opts,
+        bind,
+        leaf: ex.plan(prefix, target, true),
     };
 
     // Parallel sub-range path: intersect the first variable's domain on
@@ -185,64 +196,38 @@ pub(crate) fn execute(
                         .map(|_| atoms.iter().map(|a| a.idx.probe()).collect())
                         .collect();
                     let mut vals = vec![0 as Value; nv];
-                    let mut bound = VarSet::EMPTY;
-                    let mut part = Relation::new(all.clone());
+                    let mut part = Fragment::default();
                     for &candidate in &cands[range] {
                         let filled =
                             fill_next_level(&mut levels, 0, participating, candidate, stats);
                         debug_assert!(filled, "all cursors verified to contain candidate");
                         if filled {
                             vals[var0 as usize] = candidate;
-                            bound = bound.insert(var0);
-                            search(
-                                &ctx,
-                                &mut levels,
-                                1,
-                                &mut bound,
-                                &mut vals,
-                                &mut part,
-                                stats,
-                            );
-                            bound = bound.remove(var0);
+                            search(&ctx, &mut levels, 1, &mut vals, &mut part, stats);
                         }
                     }
                     part
                 },
             );
-            let mut out = Relation::new(all);
-            for part in &parts {
-                for row in part.rows() {
-                    out.push_row(row);
-                }
-            }
-            out.sort_dedup();
-            return Ok((out, stats));
+            return Ok((crate::par::merge(all, parts), stats));
         }
     }
 
-    let mut out = Relation::new(all);
+    let mut out = Fragment::default();
     let mut vals = vec![0 as Value; nv];
-    let mut bound = VarSet::EMPTY;
-    search(
-        &ctx,
-        &mut levels,
-        0,
-        &mut bound,
-        &mut vals,
-        &mut out,
-        &mut stats,
-    );
-    out.sort_dedup();
-    Ok((out, stats))
+    search(&ctx, &mut levels, 0, &mut vals, &mut out, &mut stats);
+    Ok((crate::par::merge(all, vec![out]), stats))
 }
 
-struct SearchCtx<'c, 'a> {
-    q: &'c Query,
+struct SearchCtx<'c> {
     ex: &'c Expander<'c>,
     order: &'c [u32],
     at_depth: &'c [Vec<usize>],
-    target: VarSet,
-    opts: &'a GjConfig,
+    /// Per depth: the compiled FD binding of its variable when it is
+    /// determined by the bound prefix and `bind_fds` is on.
+    bind: Vec<Option<ExpandPlan>>,
+    /// Expand UDF-only variables and verify every FD at a full binding.
+    leaf: ExpandPlan,
 }
 
 /// Copy depth `d`'s cursors into depth `d+1`, replacing the participating
@@ -267,22 +252,22 @@ fn fill_next_level(
     true
 }
 
+/// Search from `depth`, with `vals` holding the bindings of
+/// `order[..depth]`. Expansion runs in place on `vals`: it writes only
+/// variables that are not yet bound, and every variable is written again
+/// before it is next read.
 fn search(
-    ctx: &SearchCtx<'_, '_>,
+    ctx: &SearchCtx<'_>,
     levels: &mut Vec<Vec<Probe<'_>>>,
     depth: usize,
-    bound: &mut VarSet,
     vals: &mut [Value],
-    out: &mut Relation,
+    out: &mut Fragment,
     stats: &mut Stats,
 ) {
     if depth == ctx.order.len() {
         // All atom variables bound; expand UDF-only variables and verify.
-        let mut b = *bound;
-        let mut v = vals.to_vec();
-        if ctx.ex.expand_tuple(&mut b, &mut v, ctx.target, stats) && ctx.ex.verify_fds(b, &v, stats)
-        {
-            out.push_row(&v);
+        if ctx.ex.run(&ctx.leaf, vals, stats) {
+            out.push(vals);
             stats.output_tuples += 1;
         }
         return;
@@ -296,25 +281,14 @@ fn search(
 
     // Footnote-1 FD binding: if `var` is determined by the bound prefix,
     // compute the single candidate instead of intersecting.
-    if ctx.opts.bind_fds {
-        let closure = ctx.q.closure(*bound);
-        if closure.contains(var) {
-            let mut b = *bound;
-            let mut v = vals.to_vec();
-            if ctx
-                .ex
-                .expand_tuple(&mut b, &mut v, bound.insert(var), stats)
-            {
-                let candidate = v[var as usize];
-                if fill_next_level(levels, depth, participating, candidate, stats) {
-                    vals[var as usize] = candidate;
-                    *bound = bound.insert(var);
-                    search(ctx, levels, depth + 1, bound, vals, out, stats);
-                    *bound = bound.remove(var);
-                }
+    if let Some(plan) = &ctx.bind[depth] {
+        if ctx.ex.run(plan, vals, stats) {
+            let candidate = vals[var as usize];
+            if fill_next_level(levels, depth, participating, candidate, stats) {
+                search(ctx, levels, depth + 1, vals, out, stats);
             }
-            return;
         }
+        return;
     }
 
     // Leapfrog intersection: iterate the smallest cursor's distinct values
@@ -353,9 +327,7 @@ fn search(
             debug_assert!(filled, "all cursors verified to contain candidate");
             if filled {
                 vals[var as usize] = candidate;
-                *bound = bound.insert(var);
-                search(ctx, levels, depth + 1, bound, vals, out, stats);
-                *bound = bound.remove(var);
+                search(ctx, levels, depth + 1, vals, out, stats);
             }
         }
         match (ok, overshoot) {

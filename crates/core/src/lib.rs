@@ -65,7 +65,7 @@ pub use engine::{
     JoinResult, Parallelism, PlanCache, PlanCacheStats, PlanDetail, PrepStats, PreparedQuery,
     UserDegreeBound,
 };
-pub use expand::Expander;
+pub use expand::{ExpandPlan, Expander};
 pub use par::run_scoped;
 pub use stats::Stats;
 

@@ -3,6 +3,7 @@
 //! allocation-happy by design — it is the correctness oracle for the
 //! property tests, nothing more.
 
+use crate::par::Fragment;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_query::Query;
@@ -58,29 +59,29 @@ pub(crate) fn execute(
         stats.intermediate_tuples += partials.len() as u64;
     }
 
+    // Every partial has passed every atom, so all bind the same variables:
+    // one compiled expansion serves them all.
     let all: Vec<u32> = (0..nv as u32).collect();
     let target = VarSet::full(nv as u32);
+    let bound = q
+        .atoms()
+        .iter()
+        .fold(VarSet::EMPTY, |s, a| s.union(a.var_set()));
+    let plan = ex.plan(bound, target, true);
     let parts = crate::par::for_blocks(par, partials.len(), None, &mut stats, |range, stats| {
-        let mut part = Relation::new(all.clone());
-        for (bound, vals) in &partials[range] {
-            let (mut bound, mut vals) = (*bound, vals.clone());
-            if ex.expand_tuple(&mut bound, &mut vals, target, stats)
-                && ex.verify_fds(bound, &vals, stats)
-            {
-                part.push_row(&vals);
+        let mut part = Fragment::default();
+        let mut vals = vec![0 as Value; nv];
+        for (b, partial) in &partials[range] {
+            debug_assert_eq!(*b, bound, "partials bind every atom variable");
+            vals.copy_from_slice(partial);
+            if ex.run(&plan, &mut vals, stats) {
+                part.push(&vals);
                 stats.output_tuples += 1;
             }
         }
         part
     });
-    let mut out = Relation::new(all);
-    for part in &parts {
-        for row in part.rows() {
-            out.push_row(row);
-        }
-    }
-    out.sort_dedup();
-    Ok((out, stats))
+    Ok((crate::par::merge(all, parts), stats))
 }
 
 #[cfg(test)]

@@ -28,7 +28,7 @@ use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_lattice::VarSet;
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::Relation;
+use fdjoin_storage::{Relation, Value};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -213,6 +213,36 @@ where
         .collect()
 }
 
+/// One block's output rows, stored back to back. Blocks fill fragments
+/// and [`merge`] appends each to the result in one copy — one version bump
+/// per fragment rather than per row on the process-wide counter that
+/// every concurrent solve shares.
+#[derive(Default)]
+pub(crate) struct Fragment {
+    data: Vec<Value>,
+    rows: usize,
+}
+
+impl Fragment {
+    /// Append one row.
+    #[inline]
+    pub fn push(&mut self, row: &[Value]) {
+        self.data.extend_from_slice(row);
+        self.rows += 1;
+    }
+}
+
+/// Concatenate block fragments in block order into a relation over `vars`
+/// and canonicalize it (`sort_dedup`) — the merge every fan-out shares.
+pub(crate) fn merge(vars: Vec<u32>, parts: Vec<Fragment>) -> Relation {
+    let mut out = Relation::new(vars);
+    for part in parts {
+        out.append_rows(&part.data, part.rows);
+    }
+    out.sort_dedup();
+    out
+}
+
 /// The shared final pass of SMA and CSMA: semijoin-reduce `out` against
 /// every input relation (one trie-shaped membership descent per input) and
 /// verify FDs, fanning the per-row checks out over sub-range blocks. Rows
@@ -227,8 +257,10 @@ pub(crate) fn semijoin_reduce_verified(
     par: &ParCtx,
     stats: &mut Stats,
 ) -> Relation {
+    let verify = ex.plan(full, full, true);
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
-        let mut reduced = Relation::new(out.vars().to_vec());
+        let mut reduced = Fragment::default();
+        let mut vals = vec![0 as Value; out.arity()];
         'rows: for row in rows.map(|ri| out.row(ri)) {
             for rel in inputs {
                 // Membership by descending the input's own trie shape — no
@@ -239,22 +271,16 @@ pub(crate) fn semijoin_reduce_verified(
                     continue 'rows;
                 }
             }
-            if !ex.verify_fds(full, row, stats) {
+            vals.copy_from_slice(row);
+            if !ex.run(&verify, &mut vals, stats) {
                 continue;
             }
-            reduced.push_row(row);
+            reduced.push(row);
             stats.output_tuples += 1;
         }
         reduced
     });
-    let mut reduced = Relation::new(out.vars().to_vec());
-    for part in &parts {
-        for row in part.rows() {
-            reduced.push_row(row);
-        }
-    }
-    reduced.sort_dedup();
-    reduced
+    merge(out.vars().to_vec(), parts)
 }
 
 #[cfg(test)]

@@ -11,6 +11,7 @@
 //! `T(X ∧ Y)`. Lemma 5.24 keeps every temporary within `2^{h*(·)}`.
 
 use crate::engine::JoinError;
+use crate::par::Fragment;
 use crate::{AccessPaths, Expander, Stats};
 use fdjoin_bigint::Rational;
 use fdjoin_bounds::llp::LlpSolution;
@@ -219,11 +220,15 @@ pub(crate) fn execute(
             .iter()
             .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
             .collect();
+        // Every candidate binds T(X)'s and `light`'s variables, so one
+        // compiled expansion to Λ(X ∨ Y) serves the whole step.
+        let tx_set = tx.var_set();
+        let plan = ex.plan(tx_set.union(light.var_set()), join_set, true);
         // Per-row probe-and-extend work is independent; fan it out over
         // contiguous blocks of T(X) rows (fragments merge in block order,
         // then the same sort_dedup as the sequential path).
         let parts = crate::par::for_blocks(par, tx.len(), None, &mut stats, |rows, stats| {
-            let mut part = Relation::new(out_vars.clone());
+            let mut part = Fragment::default();
             let mut vals = vec![0 as Value; nv];
             let mut buf = vec![0 as Value; out_vars.len()];
             for row in rows.map(|ri| tx.row(ri)) {
@@ -238,38 +243,26 @@ pub(crate) fn execute(
                     for (&v, &x) in tx.vars().iter().zip(row) {
                         vals[v as usize] = x;
                     }
-                    let mut bound = tx.var_set();
                     for (&v, &x) in light.vars().iter().zip(ext) {
-                        if bound.contains(v) {
-                            if vals[v as usize] != x {
-                                continue 'ext;
-                            }
-                        } else {
+                        if !tx_set.contains(v) {
                             vals[v as usize] = x;
-                            bound = bound.insert(v);
+                        } else if vals[v as usize] != x {
+                            continue 'ext;
                         }
                     }
-                    if !ex.expand_tuple(&mut bound, &mut vals, join_set, stats)
-                        || !ex.verify_fds(join_set, &vals, stats)
-                    {
+                    if !ex.run(&plan, &mut vals, stats) {
                         continue;
                     }
                     for (slot, &v) in buf.iter_mut().zip(&out_vars) {
                         *slot = vals[v as usize];
                     }
-                    part.push_row(&buf);
+                    part.push(&buf);
                     stats.intermediate_tuples += 1;
                 }
             }
             part
         });
-        let mut t_join = Relation::new(out_vars.clone());
-        for part in &parts {
-            for row in part.rows() {
-                t_join.push_row(row);
-            }
-        }
-        t_join.sort_dedup();
+        let t_join = crate::par::merge(out_vars, parts);
 
         pool.push(Entry {
             elem: z,

@@ -29,7 +29,7 @@ pub(crate) fn next_version() -> u64 {
 ///
 /// Relations are *versioned*: [`Relation::version`] takes a fresh,
 /// globally unique value on every content mutation ([`Relation::push_row`],
-/// [`Relation::apply_delta`]), so incremental-maintenance layers detect
+/// [`Relation::append_rows`], [`Relation::apply_delta`]), so incremental-maintenance layers detect
 /// drift — and index caches key content — without diffing rows. The
 /// version is bookkeeping, not content — equality compares rows only.
 ///
@@ -185,6 +185,26 @@ impl Relation {
             self.data.push(1);
         } else {
             self.data.extend_from_slice(row);
+        }
+        self.sorted = false;
+        self.stats = None;
+        self.version = next_version();
+    }
+
+    /// Append `rows` rows laid out back to back in `flat` (this relation's
+    /// column order) — one copy and one version bump for the whole batch,
+    /// where [`Relation::push_row`] pays one of each per row. Appending no
+    /// rows changes nothing.
+    pub fn append_rows(&mut self, flat: &[Value], rows: usize) {
+        assert_eq!(flat.len(), rows * self.arity(), "row arity mismatch");
+        if rows == 0 {
+            return;
+        }
+        if self.vars.is_empty() {
+            // Zero-arity: one sentinel per row, as in `push_row`.
+            self.data.resize(self.data.len() + rows, 1);
+        } else {
+            self.data.extend_from_slice(flat);
         }
         self.sorted = false;
         self.stats = None;
@@ -840,5 +860,29 @@ mod tests {
         a.apply_delta(none, [[9u64, 9]]);
         assert_ne!(a.version(), b.version());
         assert_eq!(a, b, "equality ignores the version counter");
+    }
+
+    #[test]
+    fn append_rows_matches_push_row_with_one_version_bump() {
+        let rows = [[3u64, 30], [1, 10], [3, 30]];
+        let mut pushed = Relation::new(vec![0, 1]);
+        for row in &rows {
+            pushed.push_row(row);
+        }
+        let mut appended = Relation::new(vec![0, 1]);
+        let v0 = appended.version();
+        appended.append_rows(&rows.concat(), rows.len());
+        assert_eq!(appended, pushed);
+        assert!(appended.version() > v0 && !appended.is_sorted());
+        let v1 = appended.version();
+        appended.append_rows(&[], 0);
+        assert_eq!(appended.version(), v1, "no rows, no version bump");
+
+        // Nullary: row counts survive (two `()` rows dedup to one).
+        let mut unit = Relation::new(vec![]);
+        unit.append_rows(&[], 2);
+        assert_eq!(unit.len(), 2);
+        unit.sort_dedup();
+        assert_eq!(unit, Relation::nullary_unit());
     }
 }

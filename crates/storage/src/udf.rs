@@ -7,7 +7,7 @@
 
 use crate::Value;
 use fdjoin_lattice::VarSet;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// A user-defined function: receives the argument values ordered by
@@ -15,9 +15,13 @@ use std::sync::Arc;
 pub type UdfFn = Arc<dyn Fn(&[Value]) -> Value + Send + Sync>;
 
 /// Registry of UDFs keyed by `(argument variables, output variable)`.
+///
+/// The map is ordered, so every lookup — [`UdfRegistry::find_applicable`]
+/// in particular — is a function of the registered keys alone, never of
+/// insertion order or a hash seed.
 #[derive(Clone, Default)]
 pub struct UdfRegistry {
-    map: HashMap<(VarSet, u32), UdfFn>,
+    map: BTreeMap<(VarSet, u32), UdfFn>,
     version: u64,
 }
 
@@ -50,8 +54,10 @@ impl UdfRegistry {
         self.map.get(&(args, out))
     }
 
-    /// Find any registered UDF whose arguments are a subset of `available`
-    /// and whose output is `out`; returns the argument set and function.
+    /// Find the registered UDF with output `out` whose arguments are a
+    /// subset of `available`; when several apply, the one with the smallest
+    /// `(args, out)` key in [`VarSet`] order wins. Returns the argument set
+    /// and function.
     pub fn find_applicable(&self, available: VarSet, out: u32) -> Option<(VarSet, &UdfFn)> {
         self.map
             .iter()
@@ -122,5 +128,30 @@ mod tests {
             .is_some());
         assert!(reg.find_applicable(VarSet::from_vars([0, 3]), 2).is_none());
         assert!(reg.find_applicable(VarSet::from_vars([0, 1]), 5).is_none());
+    }
+
+    #[test]
+    fn find_applicable_ignores_registration_order() {
+        // Three UDFs for output 3, all applicable over {0,1,2}: whatever
+        // the insertion order, the smallest argument set wins.
+        let keys = [
+            VarSet::from_vars([1, 2]),
+            VarSet::from_vars([0]),
+            VarSet::from_vars([0, 2]),
+        ];
+        let mut forward = UdfRegistry::new();
+        let mut backward = UdfRegistry::new();
+        for (i, &args) in keys.iter().enumerate() {
+            forward.register(args, 3, move |_| i as Value);
+        }
+        for (i, &args) in keys.iter().enumerate().rev() {
+            backward.register(args, 3, move |_| i as Value);
+        }
+        let available = VarSet::from_vars([0, 1, 2]);
+        let (fa, ff) = forward.find_applicable(available, 3).unwrap();
+        let (ba, bf) = backward.find_applicable(available, 3).unwrap();
+        assert_eq!(fa, VarSet::from_vars([0]));
+        assert_eq!(ba, fa);
+        assert_eq!(ff(&[]), bf(&[]));
     }
 }

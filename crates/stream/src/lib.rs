@@ -52,7 +52,7 @@
 //! assert_eq!(stream.stats().rows_streamed, 2);
 //! ```
 
-use fdjoin_core::{Expander, JoinError, PreparedQuery, Stats};
+use fdjoin_core::{ExpandPlan, Expander, JoinError, PreparedQuery, Stats};
 use fdjoin_lattice::VarSet;
 use fdjoin_obs::{Observer, SpanKind};
 use fdjoin_storage::{Database, ProbeSnapshot, Relation, TrieIndex, Value};
@@ -83,10 +83,10 @@ pub struct ResultStream<'a> {
     order: Vec<u32>,
     /// Atoms participating at each search depth.
     at_depth: Vec<Vec<usize>>,
-    /// `prefix_bound[d]` = the variables of `order[..d]` — the bound set is
-    /// a pure function of depth, so it is never stored in the cursor state.
-    prefix_bound: Vec<VarSet>,
-    target: VarSet,
+    /// Expand UDF-only variables and verify every FD once all of `order`
+    /// is bound — compiled at open, since the bound set at a leaf is
+    /// always the same.
+    leaf: ExpandPlan,
     /// Content versions of each atom's relation at open time, stamped into
     /// checkpoints so a resume against drifted data is rejected.
     versions: Vec<u64>,
@@ -155,12 +155,11 @@ impl<'a> ResultStream<'a> {
                     .collect()
             })
             .collect();
-        let mut prefix_bound: Vec<VarSet> = Vec::with_capacity(order.len() + 1);
-        prefix_bound.push(VarSet::EMPTY);
-        for &v in &order {
-            let last = *prefix_bound.last().unwrap();
-            prefix_bound.push(last.insert(v));
-        }
+        let leaf = ex.plan(
+            VarSet::from_vars(order.iter().copied()),
+            VarSet::full(nv as u32),
+            true,
+        );
         let levels: Vec<Vec<ProbeSnapshot>> = (0..=order.len())
             .map(|_| atoms.iter().map(|a| a.idx.probe().snapshot()).collect())
             .collect();
@@ -178,8 +177,7 @@ impl<'a> ResultStream<'a> {
             atoms,
             order,
             at_depth,
-            prefix_bound,
-            target: VarSet::full(nv as u32),
+            leaf,
             versions,
             udf_version: db.udfs.version(),
             levels,
@@ -208,15 +206,9 @@ impl<'a> ResultStream<'a> {
             // No atom variables to search (nullary atoms only): at most one
             // answer, produced entirely by expansion from the empty prefix.
             self.done = true;
-            let mut b = VarSet::EMPTY;
-            let mut v = self.vals.clone();
-            if self
-                .ex
-                .expand_tuple(&mut b, &mut v, self.target, &mut self.stats)
-                && self.ex.verify_fds(b, &v, &mut self.stats)
-            {
+            if self.ex.run(&self.leaf, &mut self.vals, &mut self.stats) {
                 self.stats.output_tuples += 1;
-                self.row_buf = v;
+                self.row_buf.clone_from(&self.vals);
                 return true;
             }
             return false;
@@ -228,8 +220,7 @@ impl<'a> ResultStream<'a> {
             atoms,
             order,
             at_depth,
-            prefix_bound,
-            target,
+            leaf,
             levels,
             lead,
             vals,
@@ -294,15 +285,12 @@ impl<'a> ResultStream<'a> {
                     cur[d][li] = lp.snapshot();
                     if d + 1 == order.len() {
                         // Leaf: all atom variables bound. Expand UDF-only
-                        // variables, verify the FDs, emit on success. The
+                        // variables in place (they are never read by the
+                        // search), verify the FDs, emit on success. The
                         // depth stays put — dead leaves keep leapfrogging.
-                        let mut b = prefix_bound[order.len()];
-                        let mut v = vals.clone();
-                        if ex.expand_tuple(&mut b, &mut v, *target, stats)
-                            && ex.verify_fds(b, &v, stats)
-                        {
+                        if ex.run(leaf, vals, stats) {
                             stats.output_tuples += 1;
-                            *row_buf = v;
+                            row_buf.clone_from(vals);
                             return true;
                         }
                     } else {
