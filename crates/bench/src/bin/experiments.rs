@@ -1,5 +1,5 @@
-//! Regenerate every experiment in `EXPERIMENTS.md`: one section per paper
-//! figure/example, printing the paper's claim next to the measured value.
+//! Run the paper's experiments and print them to stdout: one section per
+//! paper figure/example, the paper's claim next to the measured value.
 //!
 //! ```sh
 //! cargo run --release -p fdjoin-bench --bin experiments          # all

@@ -33,6 +33,7 @@ use fdjoin_storage::{Database, MissingRelation, Relation, TrieIndex, UdfFn, Valu
 use std::sync::Arc;
 
 /// Precomputed expansion machinery for a query + database.
+#[derive(Clone)]
 pub struct Expander<'a> {
     query: &'a Query,
     db: &'a Database,

@@ -49,6 +49,7 @@ mod binary_join;
 mod chain_algo;
 pub mod cost;
 mod csma;
+mod descent;
 pub mod engine;
 mod expand;
 mod generic_join;
@@ -59,6 +60,7 @@ mod stats;
 
 pub use access::AccessPaths;
 pub use chain_algo::atom_log_sizes;
+pub use descent::{Descent, DescentPosition};
 pub use engine::{
     binary_join, chain_join, chain_join_no_argmin, csma_join, generic_join, naive_join, sma_join,
     Algorithm, AutoDecision, AutoReason, Engine, ExecOptions, Explain, ExplainAnalysis, JoinError,

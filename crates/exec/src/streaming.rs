@@ -279,7 +279,9 @@ fn run_stream(
     let mut drive = obs.span_with_parent(SpanKind::Batch, "stream", parent);
     let mut stream = ResultStream::open(prepared, db)?;
     let row_bytes = std::mem::size_of::<Value>() as u64;
-    let mut rows = Relation::new((0..prepared.query().n_vars() as u32).collect());
+    // Delivered rows gather back to back and append once after the loop:
+    // one version bump per stream, not one per row.
+    let mut flat: Vec<Value> = Vec::new();
     let mut delivered = 0u64;
     let mut bytes = 0u64;
     let mut first_row_ns: Option<u64> = None;
@@ -300,7 +302,7 @@ fn run_stream(
                 }
                 bytes += row.len() as u64 * row_bytes;
                 delivered += 1;
-                rows.push_row(row);
+                flat.extend_from_slice(row);
             }
             None => break StreamEnd::Exhausted,
         }
@@ -329,6 +331,8 @@ fn run_stream(
     let stats = stream.stats();
     let enumeration = stream.enumeration_class();
     drop(stream);
+    let mut rows = Relation::new((0..prepared.query().n_vars() as u32).collect());
+    rows.append_rows(&flat, delivered as usize);
     drive.finish();
     Ok(StreamOutcome {
         rows,

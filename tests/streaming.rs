@@ -3,7 +3,9 @@
 //! engine's prepared queries end to end.
 
 use fdjoin::core::{Algorithm, Engine, ExecOptions};
+use fdjoin::lattice::VarSet;
 use fdjoin::query::{examples, EnumerationClass, Query};
+use fdjoin::storage::{Database, Relation, Value};
 use fdjoin::stream::ResultStream;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,4 +67,66 @@ fn enumeration_class_is_stable_across_data() {
         let s = ResultStream::open(&prepared, &db).expect("open");
         assert_eq!(s.enumeration_class(), prepared.enumeration_class());
     }
+}
+
+/// Pause `q` on `db` at every row boundary, resume each checkpoint in a
+/// fresh cursor, and require the concatenation to be exactly the
+/// uninterrupted enumeration — nothing dropped or repeated — with the same
+/// deterministic work.
+fn checkpoint_at_every_boundary(q: &Query, db: &Database) {
+    let prepared = Engine::new().prepare(q);
+    let mut baseline = ResultStream::open(&prepared, db).expect("open");
+    let mut uninterrupted: Vec<Vec<Value>> = Vec::new();
+    while let Some(row) = baseline.next_row() {
+        uninterrupted.push(row.to_vec());
+    }
+    assert!(uninterrupted.len() > 4, "instance must be non-trivial");
+    for pause_after in 0..=uninterrupted.len() {
+        let mut first = ResultStream::open(&prepared, db).expect("open");
+        let mut rows: Vec<Vec<Value>> = (0..pause_after)
+            .map(|_| {
+                first
+                    .next_row()
+                    .expect("pause point within bounds")
+                    .to_vec()
+            })
+            .collect();
+        let ck = first.checkpoint();
+        drop(first);
+        let mut second = ResultStream::resume(&prepared, db, &ck).expect("resume");
+        while let Some(row) = second.next_row() {
+            rows.push(row.to_vec());
+        }
+        assert_eq!(
+            rows,
+            uninterrupted,
+            "{}: resume after {pause_after} rows",
+            q.display_body()
+        );
+        assert_eq!(
+            second.stats().deterministic(),
+            baseline.stats().deterministic(),
+            "{}: deterministic work must be pause-invariant (pause at {pause_after})",
+            q.display_body()
+        );
+    }
+}
+
+/// Checkpoints taken where the leaf step decides the rows: on the Fig. 1
+/// adversarial instance most full bindings fail FD verification, and in
+/// `fig5_udf_product` the variable `z` occurs in no atom and is filled by
+/// a UDF at every leaf.
+#[test]
+fn checkpoints_resume_on_udf_leaves() {
+    checkpoint_at_every_boundary(
+        &examples::fig1_udf(),
+        &fdjoin::instances::fig1_adversarial(64),
+    );
+
+    let mut db = Database::new();
+    db.insert("R", Relation::from_rows(vec![0], (1..=8).map(|x| [x])));
+    db.insert("S", Relation::from_rows(vec![1], (1..=6).map(|y| [10 * y])));
+    db.udfs
+        .register(VarSet::from_vars([0, 1]), 2, |v| v[0] + v[1]);
+    checkpoint_at_every_boundary(&examples::fig5_udf_product(), &db);
 }
