@@ -11,8 +11,7 @@
 //! - **base** indexes ([`AccessPaths::base`]) over database relations,
 //!   keyed by the relation's globally unique
 //!   [`fdjoin_storage::Relation::version`] — Expander guard lookups,
-//!   Generic-Join atom tries, binary-join build sides, and the final
-//!   semijoin-reduction membership probes all live here;
+//!   Generic-Join atom tries and binary-join build sides all live here;
 //! - **expanded** indexes ([`AccessPaths::expanded`]) over the FD-expanded
 //!   atom relations `R_j⁺` that chain/SMA/CSMA iterate, keyed by an
 //!   interned signature over every input of the expansion: a per-query

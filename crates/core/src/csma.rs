@@ -184,13 +184,7 @@ pub(crate) fn execute(
 
     // Soundness pass: dedup, semijoin with every input, verify all FDs.
     out.sort_dedup();
-    let full = VarSet::full(nv as u32);
-    let inputs: Vec<&Relation> = q
-        .atoms()
-        .iter()
-        .map(|a| db.relation(&a.name))
-        .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, ex, full, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(q, db, ex, &out, par, &mut stats)?;
 
     Ok((reduced, stats))
 }
@@ -253,15 +247,23 @@ fn exec(
             }
             let mut keys: Vec<u32> = buckets.keys().copied().collect();
             keys.sort_unstable();
+            let rows = sorted.to_relation();
             for b in keys {
-                // The bucket's groups are ascending disjoint trie ranges,
-                // so both the bucket and its guard trie materialize
-                // without re-sorting.
-                let bucket = sorted.relation_of_ranges(buckets[&b].iter().cloned());
+                // The bucket's groups are ascending disjoint row ranges,
+                // one per distinct X prefix, so the bucket, its projection
+                // onto X and its guard trie all materialize without
+                // re-sorting.
+                let groups = &buckets[&b];
+                let rows_of = groups.iter().flat_map(|g| g.clone()).map(|i| rows.row(i));
+                let bucket = Relation::from_sorted_unique_rows(order.clone(), rows_of);
+                let prefixes = groups.iter().map(|g| &rows.row(g.start)[..x_vars.len()]);
                 stats.branches += 1;
                 let mut tables2 = tables.clone();
                 let mut guards2 = guard_map.clone();
-                tables2.insert(x, TrieIndex::build(&bucket, &x_vars).to_relation());
+                tables2.insert(
+                    x,
+                    Relation::from_sorted_unique_rows(x_vars.clone(), prefixes),
+                );
                 guards2.insert((x, y), Arc::new(TrieIndex::build(&bucket, bucket.vars())));
                 tables2.insert(y, bucket);
                 exec(ctx, rest, tables2, guards2, out, stats);

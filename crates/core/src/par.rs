@@ -28,7 +28,8 @@ use crate::stats::Stats;
 use crate::Expander;
 use fdjoin_lattice::VarSet;
 use fdjoin_obs::{Observer, SpanKind};
-use fdjoin_storage::{Relation, Value};
+use fdjoin_query::Query;
+use fdjoin_storage::{Database, MissingRelation, Relation, Value};
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::Mutex;
@@ -243,31 +244,40 @@ pub(crate) fn merge(vars: Vec<u32>, parts: Vec<Fragment>) -> Relation {
     out
 }
 
-/// The shared final pass of SMA and CSMA: semijoin-reduce `out` against
-/// every input relation (one trie-shaped membership descent per input) and
-/// verify FDs, fanning the per-row checks out over sub-range blocks. Rows
-/// survive into the returned relation exactly as in the sequential loop;
-/// `output_tuples`/`probes` are counted per surviving/checked row inside
-/// each block, so totals are parallelism-invariant.
+/// The shared final pass of SMA and CSMA: semijoin-reduce `out` (over
+/// every query variable, ascending) against every input relation and
+/// verify FDs, fanning the per-row checks out over sub-range blocks.
+/// Membership is [`Relation::contains_row`] on the sorted input itself —
+/// a binary search needing no index, so a solve right after a write builds
+/// nothing for it. Rows survive into the returned relation exactly as in
+/// the sequential loop; `output_tuples`/`probes` are counted per
+/// surviving/checked row inside each block, so totals are
+/// parallelism-invariant.
 pub(crate) fn semijoin_reduce_verified(
-    inputs: &[&Relation],
+    q: &Query,
+    db: &Database,
     ex: &Expander<'_>,
-    full: VarSet,
     out: &Relation,
     par: &ParCtx,
     stats: &mut Stats,
-) -> Relation {
+) -> Result<Relation, MissingRelation> {
+    let inputs: Vec<&Relation> = q
+        .atoms()
+        .iter()
+        .map(|a| db.relation(&a.name))
+        .collect::<Result<_, _>>()?;
+    let full = VarSet::full(q.n_vars() as u32);
     let verify = ex.plan(full, full, true);
     let parts = for_blocks(par, out.len(), None, stats, |rows, stats| {
         let mut reduced = Fragment::default();
         let mut vals = vec![0 as Value; out.arity()];
+        let mut key: Vec<Value> = Vec::new();
         'rows: for row in rows.map(|ri| out.row(ri)) {
-            for rel in inputs {
-                // Membership by descending the input's own trie shape — no
-                // per-row key vector.
+            for rel in &inputs {
                 stats.probes += 1;
-                let mut probe = rel.probe();
-                if rel.is_empty() || !rel.vars().iter().all(|&v| probe.descend(row[v as usize])) {
+                key.clear();
+                key.extend(rel.vars().iter().map(|&v| row[v as usize]));
+                if !rel.contains_row(&key) {
                     continue 'rows;
                 }
             }
@@ -280,7 +290,7 @@ pub(crate) fn semijoin_reduce_verified(
         }
         reduced
     });
-    merge(out.vars().to_vec(), parts)
+    Ok(merge(out.vars().to_vec(), parts))
 }
 
 #[cfg(test)]

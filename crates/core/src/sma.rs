@@ -174,20 +174,16 @@ pub(crate) fn execute(
         let theta = h.get(step.y) - h.get(z);
         let threshold = degree_threshold(&theta);
 
-        // Partition T(Y) prefixes into light and heavy. The trie groups
-        // are ascending disjoint ranges, so both sides materialize without
-        // re-sorting.
-        let mut light_ranges: Vec<std::ops::Range<usize>> = Vec::new();
+        // Partition T(Y) prefixes into light and heavy. Only the heavy
+        // prefixes are collected: the light part stays in `ty`, and the
+        // join below skips any group over `threshold` rows.
         let mut heavy_rows: Vec<usize> = Vec::new();
         for g in ty.group_ranges(z_vars.len()) {
             stats.probes += 1;
-            if (g.end - g.start) as u64 <= threshold {
-                light_ranges.push(g);
-            } else {
+            if (g.end - g.start) as u64 > threshold {
                 heavy_rows.push(g.start);
             }
         }
-        let light = ty.relation_of_ranges(light_ranges);
         stats.branches += 1;
 
         // T(X ∧ Y) = Π_Z(T(X)) ∩ Π_Z(T(Y)) ∩ Heavy(Z): probe the heavy
@@ -211,19 +207,19 @@ pub(crate) fn execute(
             (0..meet_count).map(|k| &meet_flat[k * zlen..(k + 1) * zlen]),
         );
 
-        // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `light` is stored Z-first,
-        // so its own sorted data is the probe target — descend per Z value
-        // out of the T(X) row, no key buffer.
+        // T(X ∨ Y) = (T(X) ⋈ (T(Y) ⋉ Lite))⁺. `ty` is stored Z-first:
+        // descend per Z value out of the T(X) row, no key buffer, and keep
+        // the group only when it is light.
         let tx = pool[xi].rel.clone();
         let out_vars: Vec<u32> = join_set.iter().collect();
         let tx_z_cols: Vec<usize> = z_vars
             .iter()
             .map(|&v| tx.col_of(v).expect("Z ⊆ X"))
             .collect();
-        // Every candidate binds T(X)'s and `light`'s variables, so one
+        // Every candidate binds T(X)'s and T(Y)'s variables, so one
         // compiled expansion to Λ(X ∨ Y) serves the whole step.
         let tx_set = tx.var_set();
-        let plan = ex.plan(tx_set.union(light.var_set()), join_set, true);
+        let plan = ex.plan(tx_set.union(pool[yi].rel.var_set()), join_set, true);
         // Per-row probe-and-extend work is independent; fan it out over
         // contiguous blocks of T(X) rows (fragments merge in block order,
         // then the same sort_dedup as the sequential path).
@@ -233,17 +229,18 @@ pub(crate) fn execute(
             let mut buf = vec![0 as Value; out_vars.len()];
             for row in rows.map(|ri| tx.row(ri)) {
                 stats.probes += 1;
-                let mut probe = light.probe();
-                if !tx_z_cols.iter().all(|&c| probe.descend(row[c])) {
+                let mut probe = ty.probe();
+                if !tx_z_cols.iter().all(|&c| probe.descend(row[c]))
+                    || probe.len() as u64 > threshold
+                {
                     continue;
                 }
-                let range = probe.range();
-                'ext: for r in range {
-                    let ext = light.row(r);
+                let mut exts = ty.walk(probe.range());
+                'ext: while let Some(ext) = exts.next() {
                     for (&v, &x) in tx.vars().iter().zip(row) {
                         vals[v as usize] = x;
                     }
-                    for (&v, &x) in light.vars().iter().zip(ext) {
+                    for (&v, &x) in ty.vars().iter().zip(ext) {
                         if !tx_set.contains(v) {
                             vals[v as usize] = x;
                         } else if vals[v as usize] != x {
@@ -291,13 +288,7 @@ pub(crate) fn execute(
         }
     }
     out.sort_dedup();
-    let full = fdjoin_lattice::VarSet::full(nv as u32);
-    let inputs: Vec<&Relation> = q
-        .atoms()
-        .iter()
-        .map(|a| db.relation(&a.name))
-        .collect::<Result<_, _>>()?;
-    let reduced = crate::par::semijoin_reduce_verified(&inputs, &ex, full, &out, par, &mut stats);
+    let reduced = crate::par::semijoin_reduce_verified(q, db, &ex, &out, par, &mut stats)?;
 
     Ok((reduced, stats))
 }

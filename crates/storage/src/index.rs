@@ -22,14 +22,14 @@
 //!   projection and cache-dense: a level-ℓ search touches one contiguous
 //!   `&[Value]` run instead of a strided walk over full rows.
 //! - [`Probe`] — a cheap, `Copy`, zero-allocation cursor navigating
-//!   node-id ranges over those arrays (or a sorted [`Relation`]'s
-//!   row-major data via [`Relation::probe`] — both representations answer
-//!   the same API): [`Probe::descend`] narrows to the subtrie matching one
-//!   more column value, [`Probe::seek`] gallops forward *inside the
-//!   already-narrowed node range* to the next value `≥ v` at the current
-//!   level — the leapfrog primitive — and [`Probe::enter`] steps into the
-//!   current value's subtrie. Because each node's children are adjacent in
-//!   `values[ℓ]`, [`Probe::next_value`] is a constant-time increment, and
+//!   node-id ranges over those arrays — the one cursor every ordered-prefix
+//!   probe in the engine runs through: [`Probe::descend`] narrows to the
+//!   subtrie matching one more column value, [`Probe::seek`] gallops
+//!   forward *inside the already-narrowed node range* to the next value
+//!   `≥ v` at the current level — the leapfrog primitive — and
+//!   [`Probe::enter`] steps into the current value's subtrie. Because
+//!   each node's children are adjacent in `values[ℓ]`,
+//!   [`Probe::next_value`] is a constant-time increment, and
 //!   the bound searches run a branch-free, SIMD-friendly kernel over the
 //!   contiguous level array (see `lower_bound`).
 //! - [`IndexSet`] — a concurrent (sharded `RwLock`) cache of
@@ -88,6 +88,15 @@ pub struct TrieIndex {
     rows: usize,
 }
 
+/// `n` as a stored trie offset or row id. Checked in every build: an index
+/// past `u32::MAX` nodes panics naming the count instead of wrapping into
+/// offsets that silently address the wrong nodes.
+fn offset_u32(n: usize) -> u32 {
+    u32::try_from(n).unwrap_or_else(|_| {
+        panic!("trie offset {n} exceeds u32::MAX: too many rows or nodes for one index")
+    })
+}
+
 /// Streaming level-trie builder: feed it the sorted, deduplicated
 /// projected rows in order; it extends each level array from the first
 /// column where the row differs from its predecessor.
@@ -132,8 +141,7 @@ impl LevelBuilder {
         // *before* any of them are appended to level `l+1`.
         for (l, &v) in row.iter().enumerate().take(a).skip(d) {
             if l + 1 < a {
-                debug_assert!(self.values[l + 1].len() <= u32::MAX as usize);
-                self.starts[l].push(self.values[l + 1].len() as u32);
+                self.starts[l].push(offset_u32(self.values[l + 1].len()));
             }
             self.values[l].push(v);
         }
@@ -144,7 +152,7 @@ impl LevelBuilder {
 
     fn finish(mut self) -> TrieIndex {
         for l in 0..self.starts.len() {
-            let sentinel = self.values[l + 1].len() as u32;
+            let sentinel = offset_u32(self.values[l + 1].len());
             self.starts[l].push(sentinel);
         }
         TrieIndex {
@@ -194,7 +202,7 @@ impl TrieIndex {
             keys.extend(cols.iter().map(|&c| row[c]));
         }
         let key = |i: u32| &keys[i as usize * arity..(i as usize + 1) * arity];
-        let mut perm: Vec<u32> = (0..n as u32).collect();
+        let mut perm: Vec<u32> = (0..offset_u32(n)).collect();
         perm.sort_unstable_by(|&i, &j| key(i).cmp(key(j)));
         let mut prev: Option<&[Value]> = None;
         for &p in &perm {
@@ -295,7 +303,7 @@ impl TrieIndex {
     /// root child (node ids at level 0).
     pub fn probe(&self) -> Probe<'_> {
         Probe {
-            repr: Repr::Trie(self),
+            ix: self,
             depth: 0,
             lo: 0,
             hi: self.n_nodes(0),
@@ -314,9 +322,12 @@ impl TrieIndex {
         p.range()
     }
 
-    /// Membership test for a full projected row.
+    /// Membership test for a full projected row; a row of any other
+    /// length is never a member.
     pub fn contains(&self, row: &[Value]) -> bool {
-        debug_assert_eq!(row.len(), self.arity());
+        if row.len() != self.arity() {
+            return false;
+        }
         if self.arity() == 0 {
             return self.rows > 0;
         }
@@ -349,29 +360,17 @@ impl TrieIndex {
     /// Materialize the whole index as a relation (already sorted and
     /// deduplicated — no re-sort happens).
     pub fn to_relation(&self) -> Relation {
-        self.relation_of_ranges(std::iter::once(0..self.rows))
-    }
-
-    /// Materialize a subset of rows, given as ascending, disjoint row
-    /// ranges, as a relation (sorted + unique by construction).
-    pub fn relation_of_ranges<I>(&self, ranges: I) -> Relation
-    where
-        I: IntoIterator<Item = Range<usize>>,
-    {
         let a = self.arity();
         if a == 0 {
-            let n: usize = ranges.into_iter().map(|r| r.len()).sum();
             return Relation::from_sorted_unique_rows(
-                self.vars.clone(),
-                (0..n).map(|_| &[] as &[Value]),
+                Vec::new(),
+                (0..self.rows).map(|_| &[] as &[Value]),
             );
         }
-        let mut flat: Vec<Value> = Vec::new();
-        for r in ranges {
-            let mut w = self.walk(r);
-            while let Some(row) = w.next() {
-                flat.extend_from_slice(row);
-            }
+        let mut flat: Vec<Value> = Vec::with_capacity(self.rows * a);
+        let mut w = self.walk_all();
+        while let Some(row) = w.next() {
+            flat.extend_from_slice(row);
         }
         Relation::from_sorted_unique_rows(self.vars.clone(), flat.chunks_exact(a))
     }
@@ -438,7 +437,7 @@ impl TrieIndex {
         );
         debug_assert!(snap.lo <= snap.hi, "snapshot range inverted");
         Probe {
-            repr: Repr::Trie(self),
+            ix: self,
             depth: snap.depth,
             lo: snap.lo,
             hi: snap.hi,
@@ -673,64 +672,6 @@ fn lower_bound(s: &[Value], from: usize, hi: usize, v: Value) -> usize {
     base + 1 + count_lt(&s[base + 1..base + len], v)
 }
 
-/// Strided variant for row-major data (a sorted [`Relation`]'s row store,
-/// reached via [`Relation::probe`]): same gallop + branch-free bisect,
-/// reading `data[row * arity + depth]`.
-fn lower_bound_strided(
-    data: &[Value],
-    arity: usize,
-    depth: usize,
-    from: usize,
-    hi: usize,
-    v: Value,
-) -> usize {
-    let at = |row: usize| data[row * arity + depth];
-    if from >= hi || at(from) >= v {
-        return from;
-    }
-    let (mut prev, mut step) = (from, 1usize);
-    let mut end = hi;
-    loop {
-        let probe = match prev.checked_add(step) {
-            Some(p) if p < hi => p,
-            _ => break,
-        };
-        if at(probe) >= v {
-            end = probe;
-            break;
-        }
-        prev = probe;
-        step <<= 1;
-    }
-    let mut base = prev;
-    let mut len = end - prev;
-    while len > 1 {
-        let half = len / 2;
-        let quarter = (len - half) / 2;
-        if quarter > 0 {
-            prefetch_value(data, (base + quarter) * arity + depth);
-            prefetch_value(data, (base + half + quarter) * arity + depth);
-        }
-        base += if at(base + half) < v { half } else { 0 };
-        len -= half;
-    }
-    base + 1
-}
-
-fn upper_bound_strided(
-    data: &[Value],
-    arity: usize,
-    depth: usize,
-    from: usize,
-    hi: usize,
-    v: Value,
-) -> usize {
-    match v.checked_add(1) {
-        Some(next) => lower_bound_strided(data, arity, depth, from, hi, next),
-        None => hi,
-    }
-}
-
 /// A paused [`Probe`] position as plain data: the cursor's depth and
 /// **node-id** range at that depth, detached from the index's lifetime.
 ///
@@ -751,26 +692,15 @@ pub struct ProbeSnapshot {
     pub hi: usize,
 }
 
-/// The data a [`Probe`] navigates: the columnar level-trie arrays of a
-/// [`TrieIndex`], or a sorted relation's row-major store (the
-/// [`Relation::probe`] path, where node ids and row ids coincide at every
-/// depth).
-#[derive(Clone, Copy)]
-enum Repr<'a> {
-    Flat { data: &'a [Value], arity: usize },
-    Trie(&'a TrieIndex),
-}
-
-/// A zero-allocation trie cursor: a current depth and a node range that
-/// only ever narrows.
+/// A zero-allocation cursor over a [`TrieIndex`]: a current depth and a
+/// **node-id** range at that level that only ever narrows.
 ///
-/// Over a [`TrieIndex`] the cursor holds a **node-id** range at its
-/// current level; the level arrays keep each node's children contiguous,
-/// so every search ([`Probe::descend`], the [`Probe::seek`] leapfrog)
-/// runs the branch-free `lower_bound` kernel over one dense `&[Value]`
-/// run, and [`Probe::next_value`] is a constant-time increment. Row-range
-/// views ([`Probe::range`], [`Probe::group`], [`Probe::len`]) translate
-/// through the `starts` offset chain, so callers keep speaking row ids.
+/// The level arrays keep each node's children contiguous, so every search
+/// ([`Probe::descend`], the [`Probe::seek`] leapfrog) runs the branch-free
+/// `lower_bound` kernel over one dense `&[Value]` run, and
+/// [`Probe::next_value`] is a constant-time increment. Row-range views
+/// ([`Probe::range`], [`Probe::group`], [`Probe::len`]) translate through
+/// the `starts` offset chain, so callers keep speaking row ids.
 ///
 /// `Probe` is `Copy` (a reference and three word-sized fields), so
 /// backtracking search keeps per-level snapshots by value instead of
@@ -779,7 +709,7 @@ enum Repr<'a> {
 /// costs `O(log gap)`, not `O(log n)`.
 #[derive(Clone, Copy)]
 pub struct Probe<'a> {
-    repr: Repr<'a>,
+    ix: &'a TrieIndex,
     depth: usize,
     lo: usize,
     hi: usize,
@@ -796,35 +726,15 @@ impl fmt::Debug for Probe<'_> {
 }
 
 impl<'a> Probe<'a> {
-    pub(crate) fn over(data: &'a [Value], arity: usize, rows: usize) -> Probe<'a> {
-        Probe {
-            repr: Repr::Flat { data, arity },
-            depth: 0,
-            lo: 0,
-            hi: rows,
-        }
-    }
-
-    #[inline]
-    fn arity(&self) -> usize {
-        match self.repr {
-            Repr::Flat { arity, .. } => arity,
-            Repr::Trie(ix) => ix.arity(),
-        }
-    }
-
     /// Current depth: how many leading columns are bound.
     pub fn depth(&self) -> usize {
         self.depth
     }
 
-    /// The current **row** range (indices into the underlying
-    /// index/relation), however deep the cursor is.
+    /// The current **row** range (row ids of the index), however deep the
+    /// cursor is.
     pub fn range(&self) -> Range<usize> {
-        match self.repr {
-            Repr::Flat { .. } => self.lo..self.hi,
-            Repr::Trie(ix) => ix.first_row(self.depth, self.lo)..ix.first_row(self.depth, self.hi),
-        }
+        self.ix.first_row(self.depth, self.lo)..self.ix.first_row(self.depth, self.hi)
     }
 
     /// Number of rows in the current range.
@@ -842,59 +752,40 @@ impl<'a> Probe<'a> {
     /// move one level down. Returns `false` (leaving the cursor
     /// unchanged) when no row matches.
     pub fn descend(&mut self, v: Value) -> bool {
-        match self.repr {
-            Repr::Flat { data, arity } => {
-                debug_assert!(self.depth < arity, "descend below the leaf level");
-                let lo = lower_bound_strided(data, arity, self.depth, self.lo, self.hi, v);
-                if lo >= self.hi || data[lo * arity + self.depth] != v {
-                    return false;
-                }
-                self.hi = upper_bound_strided(data, arity, self.depth, lo, self.hi, v);
-                self.lo = lo;
-                self.depth += 1;
-                // The next read at the child level is almost always its
-                // first cell; warm it while the caller is still deciding.
-                prefetch_value(data, self.lo * arity + self.depth);
-                true
-            }
-            Repr::Trie(ix) => {
-                let arity = ix.arity();
-                debug_assert!(self.depth < arity, "descend below the leaf level");
-                let level = &ix.values[self.depth];
-                let i = lower_bound(level, self.lo, self.hi, v);
-                if i >= self.hi || level[i] != v {
-                    return false;
-                }
-                if self.depth + 1 < arity {
-                    self.lo = ix.starts[self.depth][i] as usize;
-                    self.hi = ix.starts[self.depth][i + 1] as usize;
-                    prefetch_value(&ix.values[self.depth + 1], self.lo);
-                } else {
-                    // Leaf level: the node id is the row id.
-                    self.lo = i;
-                    self.hi = i + 1;
-                }
-                self.depth += 1;
-                true
-            }
+        let ix = self.ix;
+        debug_assert!(self.depth < ix.arity(), "descend below the leaf level");
+        let level = &ix.values[self.depth];
+        let i = lower_bound(level, self.lo, self.hi, v);
+        if i >= self.hi || level[i] != v {
+            return false;
         }
+        (self.lo, self.hi) = self.children(i);
+        self.depth += 1;
+        if self.depth < ix.arity() {
+            // The next read at the child level is almost always its first
+            // cell; warm it while the caller is still deciding.
+            prefetch_value(&ix.values[self.depth], self.lo);
+        }
+        true
     }
 
-    /// [`Probe::descend`] through each value of `key` in turn.
-    pub fn descend_all(&mut self, key: &[Value]) -> bool {
-        key.iter().all(|&v| self.descend(v))
+    /// The node range one level down under node `i` of the current level
+    /// (at the leaf level, where node ids are row ids, just `i` itself).
+    #[inline]
+    fn children(&self, i: usize) -> (usize, usize) {
+        match self.ix.starts.get(self.depth) {
+            Some(starts) => (starts[i] as usize, starts[i + 1] as usize),
+            None => (i, i + 1),
+        }
     }
 
     /// The value at the current depth of the first node in range — i.e.
     /// the smallest un-visited value at this trie level.
     pub fn current(&self) -> Option<Value> {
-        if self.is_empty() || self.depth >= self.arity() {
+        if self.is_empty() || self.depth >= self.ix.arity() {
             return None;
         }
-        Some(match self.repr {
-            Repr::Flat { data, arity } => data[self.lo * arity + self.depth],
-            Repr::Trie(ix) => ix.values[self.depth][self.lo],
-        })
+        Some(self.ix.values[self.depth][self.lo])
     }
 
     /// Leapfrog: advance the range start to the first value `≥ v` at the
@@ -902,52 +793,27 @@ impl<'a> Probe<'a> {
     /// sorted sequence of seeks over one level is amortized linear in the
     /// range.
     pub fn seek(&mut self, v: Value) -> Option<Value> {
-        match self.repr {
-            Repr::Flat { data, arity } => {
-                debug_assert!(self.depth < arity);
-                self.lo = lower_bound_strided(data, arity, self.depth, self.lo, self.hi, v);
-            }
-            Repr::Trie(ix) => {
-                debug_assert!(self.depth < ix.arity());
-                self.lo = lower_bound(&ix.values[self.depth], self.lo, self.hi, v);
-            }
-        }
+        debug_assert!(self.depth < self.ix.arity());
+        self.lo = lower_bound(&self.ix.values[self.depth], self.lo, self.hi, v);
         self.current()
     }
 
     /// Skip past the current value and return the next distinct value at
-    /// this level, if any. Over the columnar layout this is O(1): one
-    /// node per distinct value, adjacent in the level array.
+    /// this level, if any. O(1): one node per distinct value, adjacent in
+    /// the level array.
     pub fn next_value(&mut self) -> Option<Value> {
-        let cur = self.current()?;
-        match self.repr {
-            Repr::Flat { data, arity } => {
-                self.lo = upper_bound_strided(data, arity, self.depth, self.lo, self.hi, cur);
-            }
-            Repr::Trie(_) => {
-                self.lo += 1;
-            }
-        }
+        self.current()?;
+        self.lo += 1;
         self.current()
     }
 
     /// The subrange of **rows** carrying the current value at this level.
     pub fn group(&self) -> Range<usize> {
-        match self.repr {
-            Repr::Flat { data, arity } => match self.current() {
-                None => self.lo..self.lo,
-                Some(v) => {
-                    self.lo..upper_bound_strided(data, arity, self.depth, self.lo, self.hi, v)
-                }
-            },
-            Repr::Trie(ix) => {
-                if self.current().is_none() {
-                    let r = ix.first_row(self.depth, self.lo);
-                    return r..r;
-                }
-                ix.first_row(self.depth, self.lo)..ix.first_row(self.depth, self.lo + 1)
-            }
+        let start = self.ix.first_row(self.depth, self.lo);
+        if self.current().is_none() {
+            return start..start;
         }
+        start..self.ix.first_row(self.depth, self.lo + 1)
     }
 
     /// Save this cursor's position as plain data (node coordinates),
@@ -964,40 +830,15 @@ impl<'a> Probe<'a> {
     /// Step into the current value's subtrie: a child cursor over exactly
     /// the nodes below [`Probe::current`], one level deeper.
     pub fn enter(&self) -> Probe<'a> {
-        match self.repr {
-            Repr::Flat { .. } => {
-                let g = self.group();
-                Probe {
-                    repr: self.repr,
-                    depth: self.depth + 1,
-                    lo: g.start,
-                    hi: g.end,
-                }
-            }
-            Repr::Trie(ix) => {
-                if self.current().is_none() {
-                    return Probe {
-                        repr: self.repr,
-                        depth: self.depth + 1,
-                        lo: 0,
-                        hi: 0,
-                    };
-                }
-                let (lo, hi) = if self.depth + 1 < ix.arity() {
-                    (
-                        ix.starts[self.depth][self.lo] as usize,
-                        ix.starts[self.depth][self.lo + 1] as usize,
-                    )
-                } else {
-                    (self.lo, self.lo + 1)
-                };
-                Probe {
-                    repr: self.repr,
-                    depth: self.depth + 1,
-                    lo,
-                    hi,
-                }
-            }
+        let (lo, hi) = match self.current() {
+            Some(_) => self.children(self.lo),
+            None => (0, 0),
+        };
+        Probe {
+            ix: self.ix,
+            depth: self.depth + 1,
+            lo,
+            hi,
         }
     }
 }
@@ -1613,6 +1454,35 @@ mod tests {
     }
 
     #[test]
+    fn contains_rejects_wrong_length_rows() {
+        let r = Relation::from_rows(vec![0, 1], [[1, 10], [2, 20]]);
+        let ix = TrieIndex::build(&r, &[0, 1]);
+        assert!(ix.contains(&[1, 10]));
+        assert!(!ix.contains(&[1]), "a prefix is not a member");
+        assert!(!ix.contains(&[]), "the empty prefix is not a member");
+        assert!(
+            !ix.contains(&[1, 10, 5]),
+            "an over-long row is not a member"
+        );
+        let nullary = TrieIndex::build(&r, &[]);
+        assert!(nullary.contains(&[]));
+        assert!(!nullary.contains(&[1]));
+    }
+
+    #[test]
+    fn offset_u32_checks_the_range() {
+        assert_eq!(offset_u32(0), 0);
+        assert_eq!(offset_u32(u32::MAX as usize), u32::MAX);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "trie offset 4294967296 exceeds u32::MAX")]
+    fn offset_u32_panics_past_u32_max() {
+        offset_u32(u32::MAX as usize + 1);
+    }
+
+    #[test]
     fn group_ranges_by_prefix_depth() {
         let ix = TrieIndex::build(&rel(), &[0, 1, 2]);
         assert_eq!(ix.group_ranges(0), vec![0..5]);
@@ -1803,18 +1673,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn relation_of_ranges_is_sorted_subset() {
-        let r = rel();
-        let ix = TrieIndex::build(&r, &[0, 1, 2]);
-        let groups = ix.group_ranges(1);
-        assert_eq!(groups.len(), 2);
-        let first = ix.relation_of_ranges([groups[0].clone()]);
-        assert_eq!(first.len(), 3);
-        assert!(first.is_sorted());
-        let both = ix.relation_of_ranges(groups);
-        assert_eq!(both, ix.to_relation());
     }
 }

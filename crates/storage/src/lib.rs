@@ -2,23 +2,20 @@
 //!
 //! Everything the paper's algorithms execute against lives here:
 //!
-//! - [`Relation`]: sorted row-major relations whose column order doubles as
-//!   a trie index (prefix ranges via binary search), with projection,
-//!   semijoin, degree counting, and partitioning primitives — versioned,
-//!   with in-place sorted-merge tuple deltas ([`Relation::apply_delta`])
-//!   for incremental maintenance;
+//! - [`Relation`]: sorted row-major relations — the row store every index
+//!   is built from — with lexicographic prefix ranges and membership
+//!   (binary search over the rows), projection, semijoin, degree counting,
+//!   and partitioning primitives — versioned, with in-place sorted-merge
+//!   tuple deltas ([`Relation::apply_delta`]) for incremental maintenance;
 //! - [`RelationStats`]: exact per-prefix degree/branch/skew statistics
 //!   ([`Relation::stats`]), accumulated inside the sort and delta-merge
 //!   passes themselves, feeding the data-dependent cost model in
 //!   `fdjoin_core::cost`;
 //! - [`TrieIndex`] / [`Probe`] / [`IndexSet`]: the shared access-path
 //!   layer — cached per-`(relation, column order)` trie indexes navigated
-//!   by a zero-allocation narrowing cursor, keyed by content version so
+//!   by one zero-allocation narrowing cursor, keyed by content version so
 //!   repeated executions, batches, and delta joins reuse them (see the
 //!   [`index`-module docs](IndexSet));
-//! - [`HashIndex`]: hash-keyed secondary indexes. No algorithm uses them
-//!   since the trie layer landed; they remain as the candidate access
-//!   path for non-prefix lookups (see the ROADMAP follow-on);
 //! - [`UdfRegistry`]: user-defined functions backing unguarded FDs
 //!   (Sec. 1.1 of the paper);
 //! - [`Database`]: a named collection of relation instances.
@@ -38,7 +35,7 @@ pub use index::{
     balanced_ranges, IndexKey, IndexKind, IndexSet, IndexSetStats, Probe, ProbeSnapshot, RowWalk,
     TrieIndex,
 };
-pub use relation::{DeltaApplied, HashIndex, Relation};
+pub use relation::{DeltaApplied, Relation};
 pub use stats::RelationStats;
 pub use udf::{UdfFn, UdfRegistry};
 

@@ -1,6 +1,6 @@
-//! Row-major relations with sort-order (trie-equivalent) prefix indexes.
+//! Row-major relations: the sorted row store every trie index is built from.
 
-use crate::index::{Probe, TrieIndex};
+use crate::index::TrieIndex;
 use crate::stats::{RelationStats, StatsAcc};
 use crate::Value;
 use fdjoin_lattice::VarSet;
@@ -22,10 +22,10 @@ pub(crate) fn next_version() -> u64 {
 
 /// A relation instance: a bag of fixed-arity rows over named variables.
 ///
-/// Rows are stored contiguously (`data[row * arity + col]`). The column
-/// order doubles as the index order: after [`Relation::sort_dedup`], prefix
-/// lookups by binary search give exactly the trie navigation that
-/// LeapFrog-TrieJoin-style algorithms need, without pointer chasing.
+/// Rows are stored contiguously (`data[row * arity + col]`). After
+/// [`Relation::sort_dedup`] they are in lexicographic column order, so
+/// prefix ranges and membership are binary searches over the rows; the
+/// cursor the join algorithms navigate is a [`TrieIndex`] built from them.
 ///
 /// Relations are *versioned*: [`Relation::version`] takes a fresh,
 /// globally unique value on every content mutation ([`Relation::push_row`],
@@ -424,63 +424,48 @@ impl Relation {
         self.sorted
     }
 
+    /// The first row index in `from..len` whose leading `key.len()` columns
+    /// are `≥ key` (`> key` when `strict`) — the binary search behind
+    /// [`Relation::prefix_range`] and [`Relation::contains_row`]. Requires
+    /// the relation to be sorted.
+    fn search(&self, from: usize, key: &[Value], strict: bool) -> usize {
+        let (mut lo, mut hi) = (from, self.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.row(mid)[..key.len()].cmp(key) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Equal if strict => lo = mid + 1,
+                _ => hi = mid,
+            }
+        }
+        lo
+    }
+
     /// The range of row indices whose first `prefix.len()` columns equal
     /// `prefix`. Requires the relation to be sorted.
     pub fn prefix_range(&self, prefix: &[Value]) -> Range<usize> {
         debug_assert!(self.sorted, "prefix_range requires a sorted relation");
-        let a = self.arity();
-        if a == 0 || prefix.is_empty() {
+        if self.arity() == 0 || prefix.is_empty() {
             return 0..self.len();
         }
-        debug_assert!(prefix.len() <= a);
-        let n = self.len();
-        let cmp_at = |i: usize| -> Ordering { self.row(i)[..prefix.len()].cmp(prefix) };
-        // Lower bound.
-        let (mut lo, mut hi) = (0usize, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cmp_at(mid) == Ordering::Less {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let start = lo;
-        // Upper bound.
-        let (mut lo, mut hi) = (start, n);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            if cmp_at(mid) == Ordering::Greater {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        start..lo
+        debug_assert!(prefix.len() <= self.arity());
+        let start = self.search(0, prefix, false);
+        start..self.search(start, prefix, true)
     }
 
-    /// Number of rows matching a prefix (the *degree* of the prefix value).
-    pub fn prefix_count(&self, prefix: &[Value]) -> usize {
-        let r = self.prefix_range(prefix);
-        r.end - r.start
-    }
-
-    /// A zero-allocation trie cursor over this relation's own sorted data
-    /// (natural column order) — the same [`Probe`] a [`TrieIndex`] yields,
-    /// without building one. Requires the relation to be sorted.
-    pub fn probe(&self) -> Probe<'_> {
-        debug_assert!(self.sorted, "probe requires a sorted relation");
-        Probe::over(&self.data, self.arity(), self.len())
-    }
-
-    /// Membership test (requires sorted), answered by descending the
-    /// relation's own trie shape level by level.
+    /// Membership test (requires sorted): one lexicographic lower bound
+    /// over the row store plus an equality check. A row of any other
+    /// length than the arity is never a member.
     pub fn contains_row(&self, row: &[Value]) -> bool {
-        debug_assert_eq!(row.len(), self.arity());
+        debug_assert!(self.sorted, "contains_row requires a sorted relation");
+        if row.len() != self.arity() {
+            return false;
+        }
         if self.arity() == 0 {
             return !self.is_empty();
         }
-        self.probe().descend_all(row)
+        let i = self.search(0, row, false);
+        i < self.len() && self.row(i) == row
     }
 
     /// Project onto the given columns (in the given order), sorted + deduped.
@@ -616,46 +601,6 @@ impl<'a> Iterator for RowIter<'a> {
     }
 }
 
-/// A hash index on an arbitrary subset of columns, for lookups that don't
-/// match the relation's sort order.
-#[derive(Clone, Debug)]
-pub struct HashIndex {
-    key_cols: Vec<usize>,
-    map: std::collections::HashMap<Box<[Value]>, Vec<u32>>,
-}
-
-impl HashIndex {
-    /// Build an index keyed on the given variables.
-    pub fn build(rel: &Relation, key_vars: &[u32]) -> HashIndex {
-        let key_cols: Vec<usize> = key_vars
-            .iter()
-            .map(|&v| rel.col_of(v).expect("index variable not in relation"))
-            .collect();
-        let mut map: std::collections::HashMap<Box<[Value]>, Vec<u32>> =
-            std::collections::HashMap::new();
-        let mut key = vec![0 as Value; key_cols.len()];
-        for (i, row) in rel.rows().enumerate() {
-            for (slot, &c) in key.iter_mut().zip(&key_cols) {
-                *slot = row[c];
-            }
-            map.entry(key.clone().into_boxed_slice())
-                .or_default()
-                .push(i as u32);
-        }
-        HashIndex { key_cols, map }
-    }
-
-    /// Row indices matching a key.
-    pub fn get(&self, key: &[Value]) -> &[u32] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Column positions of the key within the indexed relation.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,10 +622,10 @@ mod tests {
     #[test]
     fn prefix_range_counts() {
         let r = rel3();
-        assert_eq!(r.prefix_count(&[1]), 2);
-        assert_eq!(r.prefix_count(&[2]), 1);
-        assert_eq!(r.prefix_count(&[9]), 0);
-        assert_eq!(r.prefix_count(&[1, 11]), 1);
+        assert_eq!(r.prefix_range(&[1]), 0..2);
+        assert_eq!(r.prefix_range(&[2]), 2..3);
+        assert!(r.prefix_range(&[9]).is_empty());
+        assert_eq!(r.prefix_range(&[1, 11]), 1..2);
         assert_eq!(r.prefix_range(&[]), 0..4);
     }
 
@@ -689,6 +634,22 @@ mod tests {
         let r = rel3();
         assert!(r.contains_row(&[1, 11]));
         assert!(!r.contains_row(&[1, 12]));
+        assert!(r.contains_row(&[3, 30]), "last row");
+        assert!(!r.contains_row(&[0, 0]) && !r.contains_row(&[9, 9]));
+    }
+
+    #[test]
+    fn contains_row_rejects_wrong_length_rows() {
+        let mut r = Relation::from_rows(vec![0, 1], [[1, 10], [2, 20]]);
+        r.sort_dedup();
+        assert!(r.contains_row(&[1, 10]));
+        assert!(!r.contains_row(&[1]), "a prefix is not a member");
+        assert!(!r.contains_row(&[]), "the empty prefix is not a member");
+        assert!(
+            !r.contains_row(&[1, 10, 5]),
+            "an over-long row is not a member"
+        );
+        assert!(!Relation::nullary_unit().contains_row(&[1]));
     }
 
     #[test]
@@ -745,15 +706,6 @@ mod tests {
         let empty = Relation::new(vec![]);
         assert!(empty.is_empty());
         assert!(!empty.contains_row(&[]));
-    }
-
-    #[test]
-    fn hash_index_lookups() {
-        let r = rel3();
-        let ix = HashIndex::build(&r, &[1]);
-        assert_eq!(ix.get(&[10]).len(), 2);
-        assert_eq!(ix.get(&[30]).len(), 1);
-        assert_eq!(ix.get(&[77]).len(), 0);
     }
 
     #[test]

@@ -119,13 +119,27 @@ proptest! {
     fn relation_probe_equals_contains(rows in rows_strategy(3), probe_row in proptest::collection::vec(0u64..6, 3)) {
         let mut rel = Relation::from_rows(vec![0, 1, 2], rows.clone());
         rel.sort_dedup();
+        let ix = TrieIndex::build(&rel, &[0, 1, 2]);
         let model: BTreeSet<Vec<Value>> = rows.iter().cloned().collect();
         prop_assert_eq!(rel.contains_row(&probe_row), model.contains(&probe_row));
-        let mut p = rel.probe();
-        prop_assert_eq!(
-            probe_row.iter().all(|&v| p.descend(v)),
-            model.contains(&probe_row)
-        );
+        prop_assert_eq!(ix.contains(&probe_row), model.contains(&probe_row));
+        // Rows of the wrong length are never members — not even a prefix
+        // of a stored row, nor a stored row with a value appended.
+        let mut long = probe_row.clone();
+        long.push(probe_row[0]);
+        for row in [&probe_row[..0], &probe_row[..1], &probe_row[..2], &long[..]] {
+            prop_assert!(!rel.contains_row(row), "relation, length {}", row.len());
+            prop_assert!(!ix.contains(row), "trie, length {}", row.len());
+        }
+        // Arity 0: `{()}` exactly when there are rows, and `()` is its
+        // only member.
+        let mut nullary = Relation::from_rows(vec![], rows.iter().map(|_| [] as [Value; 0]));
+        nullary.sort_dedup();
+        prop_assert_eq!(nullary.contains_row(&[]), !model.is_empty());
+        prop_assert!(!nullary.contains_row(&probe_row[..1]));
+        let nullary_ix = TrieIndex::build(&rel, &[]);
+        prop_assert_eq!(nullary_ix.contains(&[]), !model.is_empty());
+        prop_assert!(!nullary_ix.contains(&probe_row[..1]));
     }
 
     #[test]
@@ -154,9 +168,9 @@ proptest! {
 }
 
 /// One cursor operation of the differential suite: applied in lockstep to
-/// a columnar-trie probe and to a flat-projection probe over identical
-/// content, after which every observable (depth, current value, row range,
-/// group) must agree.
+/// a columnar-trie probe and to a brute-force [`Model`] cursor over the
+/// same sorted projection, after which every observable (depth, current
+/// value, row range, group) must agree.
 #[derive(Debug, Clone)]
 enum Op {
     Descend(Value),
@@ -176,12 +190,79 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     })
 }
 
+/// The reference cursor: a depth and a window `lo..hi` of rows of the
+/// sorted projection, moved only by linear scans — no search kernel, no
+/// level arrays. The projection's rows coincide with the index's rows, so
+/// its windows are directly comparable with [`fdjoin_storage::Probe`]'s
+/// row ranges.
+#[derive(Clone, Copy)]
+struct Model<'a> {
+    rows: &'a Relation,
+    depth: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl Model<'_> {
+    fn at(&self, i: usize) -> Value {
+        self.rows.row(i)[self.depth]
+    }
+
+    fn current(&self) -> Option<Value> {
+        (self.lo < self.hi && self.depth < self.rows.arity()).then(|| self.at(self.lo))
+    }
+
+    /// The rows carrying the current value (empty at `lo` when exhausted).
+    fn group(&self) -> std::ops::Range<usize> {
+        match self.current() {
+            None => self.lo..self.lo,
+            Some(v) => {
+                self.lo
+                    ..(self.lo..self.hi)
+                        .find(|&i| self.at(i) != v)
+                        .unwrap_or(self.hi)
+            }
+        }
+    }
+
+    fn seek(&mut self, v: Value) -> Option<Value> {
+        self.lo = (self.lo..self.hi)
+            .find(|&i| self.at(i) >= v)
+            .unwrap_or(self.hi);
+        self.current()
+    }
+
+    fn descend(&mut self, v: Value) -> bool {
+        let mut m = *self;
+        if m.seek(v) != Some(v) {
+            return false;
+        }
+        *self = m.enter();
+        true
+    }
+
+    fn next_value(&mut self) -> Option<Value> {
+        self.current()?;
+        self.lo = self.group().end;
+        self.current()
+    }
+
+    fn enter(&self) -> Self {
+        let g = self.group();
+        Model {
+            depth: self.depth + 1,
+            lo: g.start,
+            hi: g.end,
+            ..*self
+        }
+    }
+}
+
 proptest! {
-    /// Differential suite: the columnar level-trie probe and the seed-era
-    /// flat sorted-projection probe answer every cursor-op sequence
+    /// Differential suite: the columnar level-trie probe and a brute-force
+    /// model over the sorted projection answer every cursor-op sequence
     /// identically — same descend/seek outcomes, same visited values, same
-    /// row-coordinate ranges and groups. The projection's rows coincide
-    /// with the index's rows, so row ranges are directly comparable.
+    /// row-coordinate ranges and groups.
     #[test]
     fn probe_ops_match_flat_projection(
         rows in rows_strategy(3),
@@ -194,7 +275,7 @@ proptest! {
         let ix = TrieIndex::build(&rel, &order);
         let proj = rel.project(&order);
         let mut t = ix.probe();
-        let mut f = proj.probe();
+        let mut f = Model { rows: &proj, depth: 0, lo: 0, hi: proj.len() };
         for op in ops {
             match op {
                 Op::Descend(v) => {
@@ -216,9 +297,9 @@ proptest! {
                     prop_assert_eq!(t.next_value(), f.next_value());
                 }
                 Op::Enter => {
-                    // Entering an exhausted level puts the two layouts'
-                    // empty children at incomparable positions; only a
-                    // live current value has a well-defined subtrie.
+                    // Entering an exhausted level puts the trie's and the
+                    // model's empty children at incomparable positions;
+                    // only a live current value has a well-defined subtrie.
                     if t.current().is_none() {
                         continue;
                     }
@@ -229,10 +310,10 @@ proptest! {
                     t = ix.resume(t.snapshot());
                 }
             }
-            prop_assert_eq!(t.depth(), f.depth());
+            prop_assert_eq!(t.depth(), f.depth);
             prop_assert_eq!(t.current(), f.current());
-            prop_assert_eq!(t.range(), f.range(), "row ranges diverge");
-            prop_assert_eq!(t.len(), f.len());
+            prop_assert_eq!(t.range(), f.lo..f.hi, "row ranges diverge");
+            prop_assert_eq!(t.len(), f.hi - f.lo);
             prop_assert_eq!(t.group(), f.group(), "groups diverge");
         }
     }
